@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +174,9 @@ def _fit_one(method: str, data: FslmData, args) -> tuple[dict, object]:
         tuning_c=args.tuning_c,
         kernel=BAYES_METHODS[method],
         adapt=getattr(args, "adapt", True),
+        # at least ten adaptations within the burn-in: with the default
+        # 100-iteration blocks a short burn-in would adapt once or never
+        adapt_block=min(MhConfig.adapt_block, max(1, args.burn_in // 10)),
         seed=args.seed,
     )
     chain = run_mwg(data, prior, config)
@@ -249,12 +251,10 @@ def cmd_table1(args) -> int:
             out[method] = entry
         return out
 
-    tasks = [(rho, rep) for rho in args.rho_list for rep in range(args.replicates)]
-    with ThreadPoolExecutor() as pool:
-        results = list(pool.map(lambda t: one_replicate(*t), tasks))
     by_key = {}
-    for (rho, rep), res in zip(tasks, results):
-        by_key.setdefault(rho, []).append(res)
+    for rho in args.rho_list:
+        for rep in range(args.replicates):
+            by_key.setdefault(rho, []).append(one_replicate(rho, rep))
 
     k = args.basis_count
     header = (

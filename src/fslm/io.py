@@ -119,7 +119,8 @@ def write_truth_json(path, dataset) -> None:
 
 
 def write_chain_csv(path, chain: Chain) -> None:
-    """Header `iter,beta_1..beta_k,sigma2,rho,accepted`; backs trace plots."""
+    """Header `iter,beta_1..beta_k,sigma2,rho,accepted`, one row per stored
+    draw with its iteration number; backs trace plots."""
     k = chain.draws_beta.shape[1]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -128,7 +129,7 @@ def write_chain_csv(path, chain: Chain) -> None:
         )
         for it in range(len(chain)):
             writer.writerow(
-                [it + 1]
+                [(it + 1) * chain.thin]
                 + [fmt(v) for v in chain.draws_beta[it]]
                 + [fmt(chain.draws_sigma2[it]), fmt(chain.draws_rho[it]),
                    int(chain.accepted[it])]

@@ -46,9 +46,9 @@ class MlEstimate:
         }
 
 
-def _profile(rho: float, data: FslmData, zt_z_inv_zt: np.ndarray):
-    ay = data.y - rho * (data.w.entries @ data.y)
-    beta = zt_z_inv_zt @ ay
+def _profile(rho: float, data: FslmData):
+    ay = data.y - rho * data.wy
+    beta = data.ols_projector @ ay
     r = ay - data.z @ beta
     sigma2 = float(r @ r) / data.n
     return beta, sigma2
@@ -56,9 +56,7 @@ def _profile(rho: float, data: FslmData, zt_z_inv_zt: np.ndarray):
 
 def concentrated_loglik(rho: float, data: FslmData) -> float:
     """l_c(rho) up to an additive constant."""
-    zt_z = data.z.T @ data.z
-    zt_z_inv_zt = np.linalg.solve(zt_z, data.z.T)
-    _, sigma2 = _profile(rho, data, zt_z_inv_zt)
+    _, sigma2 = _profile(rho, data)
     return -0.5 * data.n * np.log(sigma2) + log_det_A(data.w, rho)
 
 
@@ -81,15 +79,12 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
 
 def fit_ml(data: FslmData, rho_interval=(0.0, 0.999)) -> MlEstimate:
     """Maximize the concentrated likelihood over the rho interval."""
-    zt_z = data.z.T @ data.z
     s = np.linalg.svd(data.z, compute_uv=False)
     if s[-1] < 1e-10 * s[0]:
         raise np.linalg.LinAlgError("design matrix Z is rank deficient")
-    zt_z_inv_zt = np.linalg.solve(zt_z, data.z.T)
 
     def obj(rho):
-        _, sigma2 = _profile(rho, data, zt_z_inv_zt)
-        return -0.5 * data.n * np.log(sigma2) + log_det_A(data.w, rho)
+        return concentrated_loglik(rho, data)
 
     lo, hi = rho_interval
     grid = np.linspace(lo, hi, 200)
@@ -104,7 +99,7 @@ def fit_ml(data: FslmData, rho_interval=(0.0, 0.999)) -> MlEstimate:
     bracket_hi = grid[min(i_best + 1, grid.size - 1)]
     rho_hat = _golden_max(obj, bracket_lo, bracket_hi)
 
-    beta_hat, sigma2_hat = _profile(rho_hat, data, zt_z_inv_zt)
+    beta_hat, sigma2_hat = _profile(rho_hat, data)
     theta = Theta(beta=beta_hat, sigma2=sigma2_hat, rho=rho_hat)
     ll = log_likelihood(theta, data)
     std_beta, std_sigma2, std_rho = _observed_info_std(theta, data)

@@ -3,7 +3,8 @@ model with score-matrix design.
 
 The model is y = rho*W*y + Z*beta + eps, eps ~ N(0, sigma2*I).  Writing
 A = I - rho*W, the likelihood carries the Jacobian factor |A| on top of
-the Gaussian density of A*y - Z*beta.  Conditionals:
+the Gaussian density of A*y - Z*beta; ln|A| comes from the eigenvalues
+of W (spatial.log_det_A).  Conditionals:
 
   sigma2 | beta, rho  ~  InvGamma(n/2 + a, (||A y - Z beta||^2 + 2b)/2)
   beta   | sigma2, rho ~  N(mu, V) with precision Z'Z/sigma2 + Sigma^{-1}
@@ -14,11 +15,12 @@ the Gaussian density of A*y - Z*beta.  Conditionals:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .spatial import SpatialWeights, log_det_A
+from .spatial import SpatialWeights, log_det_A, read_only
 
 __all__ = [
     "FslmData",
@@ -34,13 +36,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FslmData:
-    """Response vector, score design matrix and spatial weights."""
+    """Response vector, score design matrix and spatial weights.
+
+    y and z are stored read-only, so the products of the data that the
+    likelihood reuses are computed once and stay valid.
+    """
 
     y: np.ndarray
     z: np.ndarray
     w: SpatialWeights
 
     def __post_init__(self):
+        object.__setattr__(self, "y", read_only(self.y))
+        object.__setattr__(self, "z", read_only(self.z))
         n = self.y.shape[0]
         if self.z.shape[0] != n or self.w.n != n:
             raise ValueError("y, z and w dimensions are inconsistent")
@@ -55,6 +63,21 @@ class FslmData:
     def k(self) -> int:
         return self.z.shape[1]
 
+    @cached_property
+    def wy(self) -> np.ndarray:
+        """W y."""
+        return self.w.entries @ self.y
+
+    @cached_property
+    def ztz(self) -> np.ndarray:
+        """Z'Z."""
+        return self.z.T @ self.z
+
+    @cached_property
+    def ols_projector(self) -> np.ndarray:
+        """(Z'Z)^{-1} Z', which maps a response to its OLS coefficients."""
+        return np.linalg.solve(self.ztz, self.z.T)
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -67,6 +90,8 @@ class PriorSpec:
     rho_support: tuple = (0.0, 1.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "m", read_only(self.m))
+        object.__setattr__(self, "sigma_beta", read_only(self.sigma_beta))
         if self.a <= 0 or self.b <= 0:
             raise ValueError("a and b must be positive")
         if self.rho_support[0] >= self.rho_support[1]:
@@ -76,6 +101,17 @@ class PriorSpec:
     @classmethod
     def diffuse(cls, k: int, scale: float = 1e4) -> "PriorSpec":
         return cls(m=np.zeros(k), sigma_beta=scale * np.eye(k))
+
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """Sigma^{-1}."""
+        k = self.sigma_beta.shape[0]
+        return cho_solve(cho_factor(self.sigma_beta), np.eye(k))
+
+    @cached_property
+    def precision_mean(self) -> np.ndarray:
+        """Sigma^{-1} m."""
+        return self.precision @ self.m
 
 
 @dataclass(frozen=True)
@@ -92,7 +128,7 @@ class Theta:
 
 
 def _residual(beta: np.ndarray, rho: float, data: FslmData) -> np.ndarray:
-    ay = data.y - rho * (data.w.entries @ data.y)
+    ay = data.y - rho * data.wy
     return ay - data.z @ beta
 
 
@@ -129,11 +165,10 @@ def beta_conditional_params(
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    prior_prec = cho_solve(cho_factor(prior.sigma_beta), np.eye(data.k))
-    prec = data.z.T @ data.z + sigma2 * prior_prec
+    prec = data.ztz + sigma2 * prior.precision
     c = cho_factor(prec)
-    ay = data.y - rho * (data.w.entries @ data.y)
-    mean = cho_solve(c, data.z.T @ ay + sigma2 * (prior_prec @ prior.m))
+    ay = data.y - rho * data.wy
+    mean = cho_solve(c, data.z.T @ ay + sigma2 * prior.precision_mean)
     cov = sigma2 * cho_solve(c, np.eye(data.k))
     cov = 0.5 * (cov + cov.T)
     return mean, cov
@@ -148,13 +183,19 @@ def rho_log_conditional(
 ) -> float:
     """Unnormalized log full conditional of rho (flat prior on its support).
 
-    Returns -inf outside the support.
+    Returns -inf outside the support and wherever det(I - rho*W) is not
+    positive: the density vanishes at the ends of W's stability interval,
+    such as rho = 1 for a row-standardized W.
     """
     lo, hi = prior.rho_support
     if rho < lo or rho > hi:
         return -np.inf
+    try:
+        ld = log_det_A(data.w, rho)
+    except np.linalg.LinAlgError:
+        return -np.inf
     r = _residual(beta, rho, data)
-    return float(log_det_A(data.w, rho) - 0.5 * (r @ r) / sigma2)
+    return float(ld - 0.5 * (r @ r) / sigma2)
 
 
 def bic(theta_hat: Theta, data: FslmData) -> float:

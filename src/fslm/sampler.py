@@ -22,6 +22,7 @@ from .model import (
     rho_log_conditional,
     sigma2_conditional_params,
 )
+from .spatial import EIG_RTOL, stability_interval
 
 __all__ = [
     "MhConfig",
@@ -56,6 +57,13 @@ class MhConfig:
             raise ValueError("tuning_c must be positive")
         if self.kernel not in ("normal", "uniform"):
             raise ValueError("kernel must be 'normal' or 'uniform'")
+        if self.thin < 1:
+            raise ValueError("thin must be at least 1")
+        if self.adapt_block < 1:
+            raise ValueError("adapt_block must be at least 1")
+        lo, hi = self.target_acceptance
+        if not 0 < lo < hi < 1:
+            raise ValueError("target_acceptance must be an increasing pair in (0, 1)")
 
 
 @dataclass
@@ -65,6 +73,7 @@ class Chain:
     draws_rho: np.ndarray      # n_stored
     accepted: np.ndarray       # n_stored bool
     tuning_trace: np.ndarray   # c value per adaptation block
+    thin: int = 1              # iterations per stored draw
 
     def __len__(self) -> int:
         return self.draws_rho.shape[0]
@@ -143,10 +152,20 @@ def default_init(data: FslmData, prior: PriorSpec) -> Theta:
 
 
 def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
-    """Run the Metropolis-within-Gibbs chain; fully determined by the seed."""
+    """Run the Metropolis-within-Gibbs chain; fully determined by the seed.
+
+    Raises ValueError before any draw when the prior's rho support
+    reaches outside W's stability interval, where det(I - rho*W) <= 0.
+    """
+    lo, hi = prior.rho_support
+    stable_lo, stable_hi = stability_interval(data.w)
+    if lo < stable_lo * (1 + EIG_RTOL) or hi > stable_hi * (1 + EIG_RTOL):
+        raise ValueError(
+            f"prior rho support ({lo}, {hi}) reaches outside W's stability "
+            f"interval ({stable_lo:.6g}, {stable_hi:.6g})"
+        )
     rng = np.random.default_rng(config.seed)
     theta = config.init if config.init is not None else default_init(data, prior)
-    lo, hi = prior.rho_support
     if not lo <= theta.rho <= hi:
         raise ValueError("initial rho outside the prior support")
 
@@ -207,15 +226,18 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         draws_rho=draws_rho,
         accepted=accepted,
         tuning_trace=np.asarray(tuning_trace),
+        thin=config.thin,
     )
 
 
 def summarize(chain: Chain, burn_in: int, data: FslmData | None = None) -> PosteriorSummary:
     """Posterior means, stds and quantiles over the post-burn-in draws.
 
-    BIC is evaluated at the posterior-mean parameters when data is given,
-    NaN otherwise.
+    burn_in counts iterations, as in MhConfig; under thinning it drops
+    the first burn_in // thin stored draws.  BIC is evaluated at the
+    posterior-mean parameters when data is given, NaN otherwise.
     """
+    burn_in //= chain.thin
     if burn_in >= len(chain):
         raise ValueError("burn_in leaves no draws to summarize")
     qs = (2.5, 50.0, 97.5)

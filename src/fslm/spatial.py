@@ -1,12 +1,17 @@
-"""Spatial weight matrices, the log-determinant of I - rho*W, and Moran's I."""
+"""Spatial weight matrices, the log-determinant of I - rho*W, and Moran's I.
+
+The log-determinant uses Ord's (1975) identity
+ln|I - rho*W| = sum_i ln(1 - rho*lambda_i) over the eigenvalues of W,
+which each SpatialWeights computes once.
+"""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 __all__ = [
     "SpatialWeights",
@@ -15,8 +20,20 @@ __all__ = [
     "grid_contiguity",
     "row_standardize",
     "log_det_A",
+    "stability_interval",
     "morans_i",
 ]
+
+# Relative size below which an eigenvalue's imaginary part, a factor
+# 1 - rho*lambda, or an overshoot of the stability interval is rounding.
+EIG_RTOL = 1e-12
+
+
+def read_only(a) -> np.ndarray:
+    """A read-only float view of a, so that values cached from it stay valid."""
+    view = np.asarray(a, dtype=float).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -28,6 +45,7 @@ class SpatialWeights:
     row_standardized: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", read_only(self.entries))
         w = self.entries
         if w.shape != (self.n, self.n):
             raise ValueError("entries must be n x n")
@@ -35,6 +53,31 @@ class SpatialWeights:
             raise ValueError("diagonal must be zero")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of W, computed on first use.
+
+        Real when W is similar to a symmetric matrix (a symmetric W, or a
+        row-standardized binary symmetric one) or when every imaginary
+        part is rounding; complex, in conjugate pairs, otherwise.
+        """
+        w = self.entries
+        i, j = np.nonzero(w)
+        degree = np.bincount(i, minlength=self.n)
+        # D W is symmetric for D = I (symmetric W) or D = diag(row
+        # degree) (row-standardized binary symmetric W); then
+        # D^1/2 W D^-1/2 is symmetric with W's eigenvalues.
+        for d in (np.ones(self.n), np.where(degree > 0, degree, 1.0)):
+            if np.allclose(d[i] * w[i, j], d[j] * w[j, i], rtol=EIG_RTOL, atol=0.0):
+                root = np.sqrt(d)
+                s = w * root[:, None]
+                s /= root[None, :]
+                return np.linalg.eigvalsh(s)
+        lam = np.linalg.eigvals(w)
+        if np.all(np.abs(lam.imag) <= EIG_RTOL * max(1.0, np.abs(lam).max())):
+            return lam.real
+        return lam
 
 
 @dataclass(frozen=True)
@@ -95,18 +138,29 @@ def row_standardize(w: SpatialWeights) -> SpatialWeights:
 
 
 def log_det_A(w: SpatialWeights, rho: float) -> float:
-    """ln|det(I - rho*W)| via LU with partial pivoting; errors if det <= 0."""
-    a = np.eye(w.n) - rho * w.entries
-    lu, piv = lu_factor(a)
-    diag = np.diag(lu)
-    if np.any(diag == 0) or np.any(np.abs(diag) < 1e-300):
+    """ln|det(I - rho*W)| = sum_i ln|1 - rho*lambda_i| from W's cached
+    eigenvalues; errors if det <= 0."""
+    lam = w.eigenvalues
+    terms = 1.0 - rho * lam
+    size = np.abs(terms)
+    if np.any(size <= EIG_RTOL):
         raise np.linalg.LinAlgError(f"I - rho*W singular at rho={rho}")
-    # sign of det: permutation parity times signs of U's diagonal
-    n_swaps = np.sum(piv != np.arange(w.n))
-    sign = (-1.0) ** n_swaps * np.prod(np.sign(diag))
-    if sign <= 0:
+    # a conjugate pair contributes |1 - rho*lambda|^2 > 0, so only the
+    # real eigenvalues set the sign of det
+    real = terms if np.isrealobj(lam) else terms[lam.imag == 0].real
+    if np.count_nonzero(real < 0) % 2:
         raise np.linalg.LinAlgError(f"det(I - rho*W) not positive at rho={rho}")
-    return float(np.sum(np.log(np.abs(diag))))
+    return float(np.sum(np.log(size)))
+
+
+def stability_interval(w: SpatialWeights) -> tuple[float, float]:
+    """(1/lambda_min, 1/lambda_max) over W's real eigenvalues: the rho
+    around 0 for which I - rho*W is nonsingular with det > 0.  An end
+    is infinite when W has no real eigenvalue of that sign."""
+    lam = w.eigenvalues
+    real = lam if np.isrealobj(lam) else lam[lam.imag == 0].real
+    lo, hi = real.min(initial=0.0), real.max(initial=0.0)
+    return (1.0 / lo if lo < 0 else -np.inf, 1.0 / hi if hi > 0 else np.inf)
 
 
 def morans_i(

@@ -94,6 +94,21 @@ def test_fit_determinism(bundle, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("burn_in, block", [(100, 10), (500, 50), (5000, 100)])
+def test_fit_adapts_at_least_ten_times_in_burn_in(bundle, tmp_path, monkeypatch,
+                                                  burn_in, block):
+    import fslm.cli
+
+    configs = []
+    real = fslm.cli.run_mwg
+    monkeypatch.setattr(fslm.cli, "run_mwg",
+                        lambda data, prior, config: configs.append(config)
+                        or real(data, prior, config))
+    assert run(["fit", "--data", bundle, "--method", "normal-kernel",
+                "--n-iter", burn_in + 10, "--burn-in", burn_in, "--out", tmp_path]) == 0
+    assert configs[0].adapt_block == block
+
+
 def test_fit_svg_traces(bundle, tmp_path):
     out = tmp_path / "svg"
     run(
@@ -201,3 +216,20 @@ def test_edges_input_round_trip(tmp_path):
     ) == 0
     y = fio.read_response_csv(out / "response.csv")
     assert y.size == 9
+
+
+def test_chain_csv_numbers_thinned_draws_by_iteration(tmp_path):
+    from fslm import Chain
+
+    chain = Chain(
+        draws_beta=np.zeros((3, 1)),
+        draws_sigma2=np.ones(3),
+        draws_rho=np.full(3, 0.5),
+        accepted=np.ones(3, dtype=bool),
+        tuning_trace=np.array([0.1]),
+        thin=2,
+    )
+    fio.write_chain_csv(tmp_path / "trace.csv", chain)
+    with open(tmp_path / "trace.csv") as f:
+        rows = list(csv.reader(f))
+    assert [r[0] for r in rows[1:]] == ["2", "4", "6"]

@@ -281,3 +281,34 @@ def test_gibbs_conditionals_match_grid_posterior():
     assert draws_b.std() == pytest.approx(
         np.sqrt((post.sum(axis=1) * (betas - grid_beta_mean) ** 2).sum()), rel=0.02
     )
+
+
+def test_data_products_cached():
+    data = make_data(n=8, k=3, seed=13)
+    assert np.array_equal(data.wy, data.w.entries @ data.y)
+    assert np.array_equal(data.ztz, data.z.T @ data.z)
+    ols, *_ = np.linalg.lstsq(data.z, data.y, rcond=None)
+    assert data.ols_projector @ data.y == pytest.approx(ols, abs=1e-12)
+    assert data.wy is data.wy and data.ols_projector is data.ols_projector
+    with pytest.raises(ValueError):
+        data.y[0] = 1.0  # read-only, so the cached products cannot go stale
+
+
+def test_prior_precision_cached():
+    sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+    prior = PriorSpec(m=np.array([1.0, -1.0]), sigma_beta=sigma)
+    assert prior.precision == pytest.approx(np.linalg.inv(sigma), abs=1e-12)
+    assert prior.precision_mean == pytest.approx(
+        np.linalg.solve(sigma, [1.0, -1.0]), abs=1e-12)
+    assert prior.precision is prior.precision
+
+
+def test_rho_conditional_vanishes_where_singular():
+    # W = [[0, 1], [1, 0]] makes I - W singular and det(I - rho W) < 0
+    # for rho > 1
+    data = make_data(n=2, k=1, seed=14)
+    prior = PriorSpec(m=np.zeros(1), sigma_beta=np.eye(1), rho_support=(-2.0, 2.0))
+    beta = np.zeros(1)
+    for rho in (1.0, 1.5):
+        assert rho_log_conditional(rho, beta, 1.0, data, prior) == -np.inf
+    assert np.isfinite(rho_log_conditional(0.5, beta, 1.0, data, prior))

@@ -214,3 +214,51 @@ def test_adaptation_reaches_band(small_problem):
         ar = float(chain.accepted[cfg.burn_in :].mean())
         in_band += 0.40 <= ar <= 0.60
     assert in_band >= 0.9 * runs
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"thin": 0},
+    {"adapt_block": 0},
+    {"target_acceptance": (0.6, 0.4)},
+    {"target_acceptance": (0.0, 0.5)},
+    {"target_acceptance": (0.5, 1.0)},
+])
+def test_invalid_config_fields(kwargs):
+    with pytest.raises(ValueError):
+        MhConfig(n_iter=10, burn_in=0, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def lattice_data():
+    rng = np.random.default_rng(21)
+    w = row_standardize(grid_contiguity(11, 11))
+    z = rng.standard_normal((121, 2))
+    a = np.eye(121) - 0.5 * w.entries
+    y = np.linalg.solve(a, z @ np.array([1.0, -0.5]) + rng.standard_normal(121))
+    return FslmData(y=y, z=z, w=w)
+
+
+def test_support_beyond_stability_interval_rejected(lattice_data, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr("fslm.sampler.beta_conditional_params", no_draws)
+    prior = PriorSpec(m=np.zeros(2), sigma_beta=1e4 * np.eye(2), rho_support=(-1.5, 1.5))
+    with pytest.raises(ValueError, match="stability interval"):
+        run_mwg(lattice_data, prior, MhConfig(n_iter=10, burn_in=0))
+
+
+def test_default_support_accepted_on_lattice(lattice_data):
+    chain = run_mwg(lattice_data, PriorSpec.diffuse(2), MhConfig(n_iter=200, burn_in=100))
+    assert len(chain) == 200
+
+
+def test_burn_in_counts_iterations_under_thinning(small_problem):
+    data, prior = small_problem
+    cfg = MhConfig(n_iter=4000, burn_in=2000, thin=2, seed=9)
+    chain = run_mwg(data, prior, cfg)
+    assert len(chain) == 2000 and chain.thin == 2
+    s = summarize(chain, cfg.burn_in)
+    kept = chain.draws_rho[1000:]
+    assert s.mean.rho == np.mean(kept)
+    assert s.acceptance_rate == chain.accepted[1000:].mean()

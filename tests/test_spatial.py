@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fslm import (
     grid_contiguity,
     log_det_A,
     morans_i,
     row_standardize,
+    stability_interval,
     weights_from_edges,
 )
 from fslm.spatial import SpatialWeights
@@ -154,3 +159,99 @@ def test_moran_seed_reproducible():
     a = morans_i(values, w, 199, seed=5)
     b = morans_i(values, w, 199, seed=5)
     assert a == b
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Binary symmetric contiguity, often with isolated units, and
+    optionally row-standardized."""
+    n = draw(st.integers(2, 12))
+    links = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    c = np.zeros((n, n))
+    c[np.triu_indices(n, 1)] = links
+    c = c + c.T
+    w = SpatialWeights(n=n, entries=c)
+    if draw(st.booleans()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero-neighbour rows
+            w = row_standardize(w)
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=symmetric_graphs(), rho=st.floats(-3.0, 3.0))
+def test_log_det_matches_slogdet(w, rho):
+    a = np.eye(w.n) - rho * w.entries
+    # keep clear of singular I - rho*W, where rounding decides the sign
+    assume(np.min(np.abs(np.linalg.eigvals(a))) > 1e-3)
+    sign, ref = np.linalg.slogdet(a)
+    if sign <= 0:
+        with pytest.raises(np.linalg.LinAlgError):
+            log_det_A(w, rho)
+    else:
+        assert log_det_A(w, rho) == pytest.approx(ref, abs=1e-10)
+
+
+def test_log_det_directed_cycle_closed_form():
+    # eigenvalues of a directed 3-cycle are the cube roots of unity, so
+    # det(I - rho*W) = 1 - rho^3, with a complex conjugate pair
+    w = SpatialWeights(n=3, entries=np.roll(np.eye(3), 1, axis=1))
+    assert np.iscomplexobj(w.eigenvalues)
+    for rho in (0.5, -2.0, 0.99):
+        assert log_det_A(w, rho) == pytest.approx(np.log(1 - rho**3), abs=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        log_det_A(w, 1.5)
+    assert stability_interval(w) == pytest.approx((-np.inf, 1.0))
+
+
+def test_log_det_random_digraphs_match_slogdet():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(3, 31))
+        c = (rng.random((n, n)) < 0.3).astype(float)
+        np.fill_diagonal(c, 0.0)
+        w = SpatialWeights(n=n, entries=c)
+        rho = float(rng.uniform(-1.0, 1.0)) / max(1.0, c.sum(axis=1).max())
+        sign, ref = np.linalg.slogdet(np.eye(n) - rho * c)
+        assert sign > 0
+        assert log_det_A(w, rho) == pytest.approx(ref, abs=1e-10)
+
+
+def test_eigenvalues_computed_once(monkeypatch):
+    calls = []
+    for name in ("eigvals", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, real=real: calls.append(1) or real(a))
+    w = row_standardize(grid_contiguity(5, 5))
+    for rho in np.linspace(-0.9, 0.9, 7):
+        log_det_A(w, rho)
+    stability_interval(w)
+    assert len(calls) == 1
+    log_det_A(row_standardize(grid_contiguity(5, 5)), 0.5)
+    assert len(calls) == 2
+
+
+def test_lattice_eigenvalues_real_and_interval():
+    w = row_standardize(grid_contiguity(11, 11))
+    assert w.eigenvalues.dtype == float
+    assert np.sort(w.eigenvalues) == pytest.approx(
+        np.sort(np.linalg.eigvals(w.entries).real), abs=1e-12)
+    # the rook lattice is bipartite: its spectrum spans [-1, 1]
+    assert stability_interval(w) == pytest.approx((-1.0, 1.0), abs=1e-12)
+    assert stability_interval(weights_from_edges(4, [])) == (-np.inf, np.inf)
+
+
+def test_entries_read_only():
+    w = weights_from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        w.entries[0, 2] = 1.0
+
+
+def test_directed_path_is_nilpotent():
+    # a strictly triangular W has only zero eigenvalues: det(I - rho*W) = 1
+    w = SpatialWeights(n=4, entries=np.triu(np.ones((4, 4)), 1))
+    assert stability_interval(w) == (-np.inf, np.inf)
+    for rho in (-3.0, 0.5, 3.0):
+        assert log_det_A(w, rho) == pytest.approx(0.0, abs=1e-12)
