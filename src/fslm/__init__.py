@@ -7,7 +7,6 @@ from .basis import (
     BasisSpec,
     FunctionalSample,
     build_bspline_basis,
-    functional_scores,
     reconstruct_gamma,
     smooth_curves,
 )
@@ -26,7 +25,6 @@ from .sampler import (
     Chain,
     MhConfig,
     PosteriorSummary,
-    acceptance_log_prob,
     adapt_tuning,
     propose_rho,
     run_mwg,
@@ -36,7 +34,6 @@ from .simgen import (
     SimulatedDataset,
     SimulationSpec,
     make_dataset,
-    simulate_covariates,
     simulate_response,
     true_gamma,
 )

@@ -21,7 +21,6 @@ __all__ = [
     "FunctionalSample",
     "build_bspline_basis",
     "smooth_curves",
-    "functional_scores",
     "reconstruct_gamma",
 ]
 
@@ -44,26 +43,13 @@ class BasisSpec:
         if np.any(t < self.domain_start - 1e-12) or np.any(t > self.domain_end + 1e-12):
             raise ValueError("evaluation points outside the basis domain")
         t = np.clip(t, self.domain_start, self.domain_end)
-        degree = self.order - 1
-        phi = np.empty((t.size, self.n_basis))
-        for k in range(self.n_basis):
-            coef = np.zeros(self.n_basis)
-            coef[k] = 1.0
-            spl = BSpline(self.knots, coef, degree, extrapolate=False)
-            phi[:, k] = np.nan_to_num(spl(t))
+        phi = BSpline.design_matrix(t, self.knots, self.order - 1).toarray()
         # right endpoint support convention: the last basis function is 1 there
         at_end = t == self.domain_end
         if np.any(at_end):
             phi[at_end, :] = 0.0
             phi[at_end, -1] = 1.0
         return phi
-
-    def to_json_dict(self) -> dict:
-        return {
-            "domain": [self.domain_start, self.domain_end],
-            "order": self.order,
-            "n_basis": self.n_basis,
-        }
 
 
 @dataclass(frozen=True)
@@ -101,39 +87,29 @@ def build_bspline_basis(
         [np.full(order, domain_start), interior, np.full(order, domain_end)]
     )
 
-    spec = BasisSpec(
+    gram = _gram_matrix(knots, int(order))
+    gram = 0.5 * (gram + gram.T)
+    return BasisSpec(
         domain_start=float(domain_start),
         domain_end=float(domain_end),
         order=int(order),
         n_basis=int(n_basis),
         knots=knots,
-        gram=np.eye(n_basis),       # placeholder, replaced below
-        gram_chol=np.eye(n_basis),
-    )
-    gram = _gram_matrix(spec)
-    gram = 0.5 * (gram + gram.T)
-    chol = np.linalg.cholesky(gram)
-    return BasisSpec(
-        domain_start=spec.domain_start,
-        domain_end=spec.domain_end,
-        order=spec.order,
-        n_basis=spec.n_basis,
-        knots=knots,
         gram=gram,
-        gram_chol=chol,
+        gram_chol=np.linalg.cholesky(gram),
     )
 
 
-def _gram_matrix(spec: BasisSpec) -> np.ndarray:
-    n_nodes = spec.order + 1
-    nodes, weights = leggauss(n_nodes)
-    gram = np.zeros((spec.n_basis, spec.n_basis))
-    spans = np.unique(spec.knots)
+def _gram_matrix(knots: np.ndarray, order: int) -> np.ndarray:
+    nodes, weights = leggauss(order + 1)
+    n_basis = knots.size - order
+    gram = np.zeros((n_basis, n_basis))
+    spans = np.unique(knots)
     for lo, hi in zip(spans[:-1], spans[1:]):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        t = mid + half * nodes
-        phi = spec.design_matrix(t)
+        # Gauss nodes lie inside the span, away from the right endpoint
+        phi = BSpline.design_matrix(mid + half * nodes, knots, order - 1).toarray()
         gram += half * (phi.T * weights) @ phi
     return gram
 
@@ -156,20 +132,14 @@ def smooth_curves(
     if t_grid.size < basis.n_basis:
         raise ValueError("need at least n_basis observation points")
 
-    phi = basis.design_matrix(t_grid)
-    _, s, _ = np.linalg.svd(phi, compute_uv=True)
+    # lstsq returns the singular values of phi that the rank check needs
+    coef, _, _, s = np.linalg.lstsq(basis.design_matrix(t_grid), obs.T, rcond=None)
     if s[-1] < 1e-10 * s[0]:
         raise np.linalg.LinAlgError(
             "rank-deficient design matrix: too few effective observation points"
         )
-    coef, *_ = np.linalg.lstsq(phi, obs.T, rcond=None)
     coef = coef.T
     return FunctionalSample(basis=basis, coef=coef, scores=coef @ basis.gram_chol)
-
-
-def functional_scores(sample: FunctionalSample) -> np.ndarray:
-    """Score matrix Z = C L; Z @ (L^T b) equals int X_i(t) g(t) dt."""
-    return sample.scores
 
 
 def reconstruct_gamma(

@@ -20,7 +20,7 @@ from .basis import build_bspline_basis, smooth_curves
 from .mle import fit_ml
 from .model import FslmData, PriorSpec
 from .sampler import MhConfig, run_mwg, summarize
-from .simgen import SimulationSpec, make_dataset, simulate_covariates, simulate_response
+from .simgen import SimulationSpec, make_dataset
 from .spatial import (
     grid_contiguity,
     morans_i,
@@ -94,54 +94,37 @@ def build_parser() -> argparse.ArgumentParser:
     mor.add_argument("--weights", type=Path, required=True)
     mor.add_argument("--permutations", type=int, default=999)
     mor.add_argument("--seed", type=int, default=0)
-
-    parser._subcommand_parsers = {"simulate": sim, "fit": fit, "table1": tab,
-                                  "moran": mor}
     return parser
+
+
+def _check_unit_count(n: int, basis_count: int) -> None:
+    if n < basis_count + 2:  # one unit per parameter in beta, sigma2 and rho
+        raise ValueError(f"{n} units are too few to fit {basis_count} basis "
+                         f"coefficients, sigma2 and rho")
 
 
 def cmd_simulate(args) -> int:
     if not 0 <= args.rho < 1:
         raise ValueError("--rho must be in [0, 1)")
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-
-    grid_t = np.arange(101.0)
-    basis = build_bspline_basis(grid_t[0], grid_t[-1], args.basis_count, 4)
     if args.edges is not None:
         edges = fio.read_edges_csv(args.edges)
         n = args.n_units or (1 + max(max(e) for e in edges))
-        w = row_standardize(weights_from_edges(n, edges))
-        rng = np.random.default_rng(args.seed)
-        signal = np.cos(grid_t) + np.sin(grid_t)
-        raw = signal[None, :] + args.noise_sd * rng.standard_normal((n, grid_t.size))
-        sample = smooth_curves(grid_t, raw, basis)
-        dataset = simulate_response(
-            sample, w, rho=args.rho, sigma2=args.sigma2,
-            seed=args.seed + 1, t_grid=grid_t,
-        )
-        raw_obs = raw
+        w = weights_from_edges(n, edges)
     else:
-        rows, cols = args.grid
-        spec = SimulationSpec(
-            rho_true=args.rho,
-            sigma2_true=args.sigma2,
-            lattice_rows=rows,
-            lattice_cols=cols,
-            grid_t=grid_t,
-            noise_sd=args.noise_sd,
-            n_basis=args.basis_count,
-            seed=args.seed,
-        )
-        dataset = make_dataset(spec)
-        # regenerate the raw draws for the curve file (same seed path)
-        rng = np.random.default_rng(args.seed)
-        signal = np.cos(grid_t) + np.sin(grid_t)
-        raw_obs = signal[None, :] + args.noise_sd * rng.standard_normal(
-            (spec.n_units, grid_t.size)
-        )
+        w = grid_contiguity(*args.grid)
+    _check_unit_count(w.n, args.basis_count)
+    spec = SimulationSpec(
+        rho_true=args.rho,
+        sigma2_true=args.sigma2,
+        noise_sd=args.noise_sd,
+        n_basis=args.basis_count,
+        seed=args.seed,
+    )
+    dataset = make_dataset(spec, row_standardize(w))
 
-    fio.write_curves_csv(out / "curves.csv", grid_t, raw_obs)
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
+    fio.write_curves_csv(out / "curves.csv", spec.grid_t, dataset.raw_curves)
     fio.write_response_csv(out / "response.csv", dataset.data.y)
     fio.write_weights_csv(out / "weights.csv", dataset.data.w)
     fio.write_truth_json(out / "truth.json", dataset)
@@ -234,7 +217,10 @@ def cmd_table1(args) -> int:
     for rho in args.rho_list:
         if not 0 <= rho < 1:
             raise ValueError(f"rho {rho} outside [0, 1)")
+    if args.replicates < 1:
+        raise ValueError("--replicates must be at least 1")
     rows_lat, cols_lat = args.grid
+    _check_unit_count(rows_lat * cols_lat, args.basis_count)
 
     def one_replicate(rho: float, rep: int) -> dict:
         spec = SimulationSpec(
@@ -303,22 +289,39 @@ COMMANDS = {
 }
 
 
+def _apply_config(parser, args, argv):
+    """Parse argv again with the config file's values as the chosen
+    subcommand's defaults, so flags still win over them."""
+    defaults = json.loads(Path(args.config).read_text())
+    if not isinstance(defaults, dict):
+        raise ValueError(f"{args.config} must hold a JSON object")
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    sub = subparsers.choices[args.command]
+    unknown = sorted(set(defaults) - {a.dest for a in sub._actions})
+    if unknown:
+        raise ValueError(
+            f"unknown {args.command} option(s) in {args.config}: {', '.join(unknown)}"
+        )
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config is not None:
-        defaults = json.loads(Path(args.config).read_text())
-        for sub in parser._subcommand_parsers.values():
-            sub.set_defaults(**defaults)
-        args = parser.parse_args(argv)  # flags still win over config values
     try:
+        if args.config is not None:
+            args = _apply_config(parser, args, argv)
         return COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so it must be caught first
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, FileNotFoundError, argparse.ArgumentTypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ __all__ = [
     "Chain",
     "PosteriorSummary",
     "propose_rho",
-    "acceptance_log_prob",
     "adapt_tuning",
     "default_init",
     "run_mwg",
@@ -115,22 +114,6 @@ def propose_rho(rho_old: float, c: float, kernel: str, rng: np.random.Generator)
     raise ValueError("kernel must be 'normal' or 'uniform'")
 
 
-def acceptance_log_prob(
-    rho_new: float,
-    rho_old: float,
-    beta: np.ndarray,
-    sigma2: float,
-    data: FslmData,
-    prior: PriorSpec,
-) -> float:
-    """min(log p(rho_new|.) - log p(rho_old|.), 0); -inf off support."""
-    new = rho_log_conditional(rho_new, beta, sigma2, data, prior)
-    if new == -np.inf:
-        return -np.inf
-    old = rho_log_conditional(rho_old, beta, sigma2, data, prior)
-    return min(new - old, 0.0)
-
-
 def adapt_tuning(c: float, block_acceptance: float, target=(0.40, 0.60)) -> float:
     """Widen or shrink the step scale by 10% if outside the target band."""
     lo, hi = target
@@ -179,7 +162,6 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
 
     beta, sigma2, rho = theta.beta.copy(), theta.sigma2, theta.rho
     c = config.tuning_c
-    log_cond_old = rho_log_conditional(rho, beta, sigma2, data, prior)
     block_accepts = 0
     stored = 0
 
@@ -190,19 +172,15 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         shape, scale = sigma2_conditional_params(beta, rho, data, prior)
         sigma2 = scale / rng.gamma(shape)
 
-        # beta/sigma2 changed, so the cached rho conditional must refresh
+        # beta and sigma2 changed, so the current rho's conditional is recomputed
         log_cond_old = rho_log_conditional(rho, beta, sigma2, data, prior)
 
         rho_new = propose_rho(rho, c, config.kernel, rng)
-        if lo <= rho_new <= hi:
-            log_cond_new = rho_log_conditional(rho_new, beta, sigma2, data, prior)
-            log_alpha = min(log_cond_new - log_cond_old, 0.0)
-        else:
-            log_alpha = -np.inf
-        accept = np.log(rng.uniform()) < log_alpha
+        # -inf off the support, so such a proposal is never accepted
+        log_cond_new = rho_log_conditional(rho_new, beta, sigma2, data, prior)
+        accept = np.log(rng.uniform()) < min(log_cond_new - log_cond_old, 0.0)
         if accept:
             rho = rho_new
-            log_cond_old = log_cond_new
             block_accepts += 1
 
         if j % config.thin == 0:

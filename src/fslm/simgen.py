@@ -3,12 +3,12 @@
 Covariate curves are cos(t) + sin(t) plus white noise on an integer
 grid, smoothed onto the B-spline basis; the functional coefficient is
 g(t) = exp(-t/10) * ((t/10)^2 + 3*(t/10) - 4); responses solve
-(I - rho*W) y = Z beta + eps on a rook lattice.
+(I - rho*W) y = Z beta + eps on a rook lattice or any given W.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -21,7 +21,6 @@ __all__ = [
     "SimulationSpec",
     "SimulatedDataset",
     "true_gamma",
-    "simulate_covariates",
     "simulate_response",
     "make_dataset",
 ]
@@ -45,10 +44,6 @@ class SimulationSpec:
         if np.any(np.diff(self.grid_t) <= 0):
             raise ValueError("grid_t must be increasing")
 
-    @property
-    def n_units(self) -> int:
-        return self.lattice_rows * self.lattice_cols
-
 
 @dataclass(frozen=True)
 class SimulatedDataset:
@@ -56,21 +51,13 @@ class SimulatedDataset:
     sample: FunctionalSample
     true_theta: Theta
     true_gamma_coef: np.ndarray  # B-spline coefficients of projected gamma
+    raw_curves: np.ndarray | None = None  # n x len(grid_t), before smoothing
 
 
 def true_gamma(t):
     """exp(-t/10) * ((t/10)^2 + 3*(t/10) - 4)."""
     u = np.asarray(t, dtype=float) / 10.0
     return np.exp(-u) * (u * u + 3.0 * u - 4.0)
-
-
-def simulate_covariates(spec: SimulationSpec, basis: BasisSpec) -> FunctionalSample:
-    """Draw the raw covariate values and smooth them onto the basis."""
-    rng = np.random.default_rng(spec.seed)
-    t = spec.grid_t
-    signal = np.cos(t) + np.sin(t)
-    raw = signal[None, :] + spec.noise_sd * rng.standard_normal((spec.n_units, t.size))
-    return smooth_curves(t, raw, basis)
 
 
 def project_gamma(basis: BasisSpec, t_grid: np.ndarray) -> np.ndarray:
@@ -110,18 +97,28 @@ def simulate_response(
     )
 
 
-def make_dataset(spec: SimulationSpec) -> SimulatedDataset:
-    """Full pipeline: lattice weights, covariates, response."""
+def make_dataset(spec: SimulationSpec, w: SpatialWeights | None = None) -> SimulatedDataset:
+    """Full pipeline: weights, covariates, response.
+
+    W defaults to the row-standardized rook contiguity of the spec's
+    lattice; a given W replaces the lattice and sets the unit count.
+    """
+    if w is None:
+        w = row_standardize(grid_contiguity(spec.lattice_rows, spec.lattice_cols, "rook"))
     basis = build_bspline_basis(
         spec.grid_t[0], spec.grid_t[-1], spec.n_basis, spec.order
     )
-    w = row_standardize(grid_contiguity(spec.lattice_rows, spec.lattice_cols, "rook"))
-    sample = simulate_covariates(spec, basis)
-    return simulate_response(
-        sample,
+    # raw covariate curves: cos(t) + sin(t) plus white noise, one per unit
+    rng = np.random.default_rng(spec.seed)
+    t = spec.grid_t
+    signal = np.cos(t) + np.sin(t)
+    raw = signal[None, :] + spec.noise_sd * rng.standard_normal((w.n, t.size))
+    dataset = simulate_response(
+        smooth_curves(t, raw, basis),
         w,
         rho=spec.rho_true,
         sigma2=spec.sigma2_true,
         seed=spec.seed + 1,
         t_grid=spec.grid_t,
     )
+    return replace(dataset, raw_curves=raw)

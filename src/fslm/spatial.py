@@ -182,6 +182,8 @@ def morans_i(
         raise ValueError("values length must match the number of units")
     if n < 3:
         raise ValueError("need at least 3 units")
+    if n_permutations < 0:
+        raise ValueError("n_permutations must be nonnegative")
     z = values - values.mean()
     denom = z @ z
     if denom == 0:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.interpolate import BSpline
 from scipy.linalg import solve_triangular
 
 from fslm import (
     build_bspline_basis,
-    functional_scores,
     reconstruct_gamma,
     smooth_curves,
 )
@@ -52,6 +52,21 @@ def test_basis_nonnegative():
     b = build_bspline_basis(0, 100, 9, 4)
     t = np.linspace(0, 100, 1000)
     assert b.design_matrix(t).min() >= -1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_design_matrix_matches_per_basis_splines(order):
+    # reference: each basis function evaluated as its own spline, with the
+    # last basis function set to 1 at the right endpoint
+    for n_basis in range(order, 10):
+        b = build_bspline_basis(0, 100, n_basis, order)
+        t = np.concatenate([np.linspace(0, 100, 1001), b.knots])
+        ref = np.empty((t.size, n_basis))
+        for k in range(n_basis):
+            spl = BSpline(b.knots, np.eye(n_basis)[k], order - 1, extrapolate=False)
+            ref[:, k] = np.nan_to_num(spl(t))
+        ref[t == 100] = np.eye(n_basis)[-1]
+        assert np.array_equal(b.design_matrix(t), ref)
 
 
 def test_gram_matches_simpson():
@@ -122,7 +137,7 @@ def test_scores_zero_and_identity_gram():
     b = build_bspline_basis(0, 1, 1, 1)  # gram = I trivially
     t = np.linspace(0, 1, 10)
     sample = smooth_curves(t, np.zeros((3, 10)), b)
-    assert np.all(functional_scores(sample) == 0)
+    assert np.all(sample.scores == 0)
 
 
 def test_score_integral_duality():
@@ -142,7 +157,7 @@ def test_score_integral_duality():
                 for i in range(3)
             ]
         )
-        assert np.abs(functional_scores(sample) @ beta - direct).max() < 1e-8
+        assert np.abs(sample.scores @ beta - direct).max() < 1e-8
 
 
 def test_reconstruct_gamma_zero_and_round_trip():

@@ -233,3 +233,71 @@ def test_chain_csv_numbers_thinned_draws_by_iteration(tmp_path):
     with open(tmp_path / "trace.csv") as f:
         rows = list(csv.reader(f))
     assert [r[0] for r in rows[1:]] == ["2", "4", "6"]
+
+
+def test_simulate_edges_matches_grid_bundle(tmp_path):
+    from fslm import grid_contiguity
+
+    w = grid_contiguity(11, 11)
+    edges_path = tmp_path / "edges.csv"
+    with open(edges_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["i", "j"])
+        writer.writerows(zip(*np.nonzero(np.triu(w.entries))))
+    grid, edges = tmp_path / "grid", tmp_path / "edges"
+    assert run(["simulate", "--grid", "11x11", "--seed", "4", "--out", grid]) == 0
+    assert run(["simulate", "--edges", edges_path, "--seed", "4", "--out", edges]) == 0
+    assert hash_dir(grid) == hash_dir(edges)
+
+
+@pytest.mark.parametrize("grid", ["1x1", "2x2"])
+def test_simulate_rejects_too_few_units(tmp_path, grid):
+    assert run(["simulate", "--grid", grid, "--out", tmp_path / "x"]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_fit_ml_rank_one_design_exits_3(tmp_path, capsys):
+    # noiseless curves are all cos + sin, so Z has rank one
+    bundle = tmp_path / "flat"
+    assert run(["simulate", "--noise-sd", "0", "--out", bundle]) == 0
+    code = run(["fit", "--data", bundle, "--method", "ml", "--out", tmp_path / "fit"])
+    assert code == 3
+    assert "rank deficient" in capsys.readouterr().err
+
+
+def test_fit_ml_fewer_units_than_coefficients_exits_3(tmp_path):
+    from fslm import grid_contiguity
+
+    rng = np.random.default_rng(0)
+    bundle = tmp_path / "tiny"
+    bundle.mkdir()
+    t = np.arange(101.0)
+    fio.write_curves_csv(bundle / "curves.csv", t, rng.standard_normal((4, t.size)))
+    fio.write_response_csv(bundle / "response.csv", rng.standard_normal(4))
+    fio.write_weights_csv(bundle / "weights.csv", row_standardize(grid_contiguity(2, 2)))
+    code = run(["fit", "--data", bundle, "--method", "ml", "--out", tmp_path / "fit"])
+    assert code == 3
+
+
+def test_moran_cli_negative_permutations(tmp_path):
+    w = weights_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    fio.write_response_csv(tmp_path / "resp.csv", np.arange(4.0))
+    fio.write_weights_csv(tmp_path / "w.csv", w)
+    assert run(
+        ["moran", "--response", tmp_path / "resp.csv", "--weights", tmp_path / "w.csv",
+         "--permutations", "-1"]
+    ) == 2
+
+
+def test_table1_zero_replicates(tmp_path):
+    assert run(
+        ["table1", "--rho-list", "0.3", "--replicates", "0", "--out", tmp_path / "t"]
+    ) == 2
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_iterr": 5}))
+    assert run(["--config", config, "simulate", "--out", tmp_path / "o"]) == 2
+    assert "n_iterr" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -3,12 +3,42 @@ import pytest
 
 from fslm import (
     FslmData,
+    SimulationSpec,
+    Theta,
     fit_ml,
     grid_contiguity,
+    log_likelihood,
+    make_dataset,
     row_standardize,
     weights_from_edges,
 )
 from fslm.mle import concentrated_loglik
+
+
+def finite_difference_std(theta, data):
+    """Std errors from the inverse of the central-difference Hessian of the
+    full log-likelihood in (beta, sigma2, rho): an oracle for fit_ml's
+    analytic observed information."""
+    k = data.k
+    x0 = np.concatenate([theta.beta, [theta.sigma2, theta.rho]])
+
+    def ll(x):
+        return log_likelihood(Theta(beta=x[:k], sigma2=x[k], rho=x[k + 1]), data)
+
+    p = x0.size
+    h = 1e-5 * np.maximum(np.abs(x0), 1.0)
+    h[k] = min(h[k], 0.4 * theta.sigma2)  # keep sigma2 steps positive
+    hess = np.empty((p, p))
+    for i in range(p):
+        for j in range(i, p):
+            total = 0.0
+            for si, sj, sign in [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]:
+                x = x0.copy()
+                x[i] += si * h[i]
+                x[j] += sj * h[j]
+                total += sign * ll(x)
+            hess[i, j] = hess[j, i] = total / (4 * h[i] * h[j])
+    return np.sqrt(np.diag(np.linalg.inv(-hess)))
 
 
 def test_no_spatial_term_reduces_to_ols():
@@ -69,6 +99,25 @@ def test_scalar_slm_matches_grid_search():
     vals = [concentrated_loglik(r, data) for r in grid]
     rho_grid = grid[int(np.argmax(vals))]
     assert est.theta.rho == pytest.approx(rho_grid, abs=1e-3)
+
+
+@pytest.mark.parametrize("side", [11, 22])
+def test_analytic_information_matches_finite_differences(side):
+    ds = make_dataset(SimulationSpec(lattice_rows=side, lattice_cols=side, seed=side))
+    est = fit_ml(ds.data)
+    analytic = np.concatenate([est.std_beta, [est.std_sigma2, est.std_rho]])
+    oracle = finite_difference_std(est.theta, ds.data)
+    assert np.all(np.isfinite(analytic)) and np.all(analytic > 0)
+    assert np.abs(analytic / oracle - 1).max() < 1e-4
+
+
+def test_fewer_units_than_coefficients_is_rank_deficient():
+    # a 4 x 7 Z has 4 large singular values but rank 4 < 7
+    rng = np.random.default_rng(5)
+    w = row_standardize(grid_contiguity(2, 2))
+    data = FslmData(y=rng.standard_normal(4), z=rng.standard_normal((4, 7)), w=w)
+    with pytest.raises(np.linalg.LinAlgError):
+        fit_ml(data)
 
 
 def test_rank_deficiency_error():

