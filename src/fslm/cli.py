@@ -29,6 +29,8 @@ from .spatial import (
 )
 
 BAYES_METHODS = {"normal-kernel": "normal", "uniform-kernel": "uniform"}
+TABLE1_METHODS = ["uniform-kernel", "normal-kernel", "ml"]
+JSON_TYPES = {bool: "boolean", str: "string", int: "integer", float: "number"}
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -108,17 +110,14 @@ def cmd_simulate(args) -> int:
         raise ValueError("--rho must be in [0, 1)")
     if args.edges is not None:
         edges = fio.read_edges_csv(args.edges)
-        n = args.n_units or (1 + max(max(e) for e in edges))
+        n = 1 + max(max(e) for e in edges) if args.n_units is None else args.n_units
         w = weights_from_edges(n, edges)
     else:
         w = grid_contiguity(*args.grid)
     _check_unit_count(w.n, args.basis_count)
     spec = SimulationSpec(
-        rho_true=args.rho,
-        sigma2_true=args.sigma2,
-        noise_sd=args.noise_sd,
-        n_basis=args.basis_count,
-        seed=args.seed,
+        rho_true=args.rho, sigma2_true=args.sigma2, noise_sd=args.noise_sd,
+        n_basis=args.basis_count, seed=args.seed,
     )
     dataset = make_dataset(spec, row_standardize(w))
 
@@ -224,40 +223,28 @@ def cmd_table1(args) -> int:
 
     def one_replicate(rho: float, rep: int) -> dict:
         spec = SimulationSpec(
-            rho_true=rho,
-            lattice_rows=rows_lat,
-            lattice_cols=cols_lat,
-            n_basis=args.basis_count,
-            seed=args.seed + 1000 * rep + int(rho * 1e6),
+            rho_true=rho, lattice_rows=rows_lat, lattice_cols=cols_lat,
+            n_basis=args.basis_count, seed=args.seed + 1000 * rep + int(rho * 1e6),
         )
-        dataset = make_dataset(spec)
-        out = {}
-        for method in ["uniform-kernel", "normal-kernel", "ml"]:
-            entry, _ = _fit_one(method, dataset.data, args)
-            out[method] = entry
-        return out
+        data = make_dataset(spec).data
+        return {method: _fit_one(method, data, args)[0] for method in TABLE1_METHODS}
 
     by_key = {}
     for rho in args.rho_list:
         for rep in range(args.replicates):
             by_key.setdefault(rho, []).append(one_replicate(rho, rep))
 
-    k = args.basis_count
-    header = (
-        ["rho_true", "method"]
-        + [f"beta_{j + 1}" for j in range(k)]
-        + ["sigma2", "rho", "bic"]
-    )
+    columns = [f"beta_{j + 1}" for j in range(args.basis_count)]
+    columns += ["sigma2", "rho", "bic"]
+    header = ["rho_true", "method"] + columns
     if args.replicates > 1:
-        header += (
-            [f"sd_beta_{j + 1}" for j in range(k)] + ["sd_sigma2", "sd_rho", "sd_bic"]
-        )
+        header += [f"sd_{c}" for c in columns]
     out_path = args.out / "table1.csv"
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for rho in args.rho_list:
-            for method in ["uniform-kernel", "normal-kernel", "ml"]:
+            for method in TABLE1_METHODS:
                 entries = [r[method] for r in by_key[rho]]
                 stack = np.array(
                     [e["beta_mean"] + [e["sigma2_mean"], e["rho_mean"], e["bic"]]
@@ -299,13 +286,30 @@ def _apply_config(parser, args, argv):
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     sub = subparsers.choices[args.command]
-    unknown = sorted(set(defaults) - {a.dest for a in sub._actions})
+    actions = {a.dest: a for a in sub._actions}
+    unknown = sorted(set(defaults) - set(actions))
     if unknown:
         raise ValueError(
             f"unknown {args.command} option(s) in {args.config}: {', '.join(unknown)}"
         )
+    for key, value in defaults.items():
+        defaults[key] = _config_value(actions[key], value, f"{args.config}: {key}")
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)
+
+
+def _config_value(action, value, where):
+    """Check a config value's JSON type against its flag: a boolean for a
+    switch, else a string (argparse converts string defaults with type=)
+    or, for an int or float flag, a number; bool subclasses int."""
+    numeric = {int: (int,), float: (int, float)}.get(action.type, ())
+    allowed = (bool,) if action.nargs == 0 else (str,) + numeric
+    if isinstance(value, bool) != (allowed == (bool,)) or not isinstance(value, allowed):
+        names = " or ".join(JSON_TYPES[t] for t in allowed)
+        raise ValueError(f"{where} must be a JSON {names}, not {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{where} must be one of {', '.join(action.choices)}")
+    return action.type(value) if numeric and not isinstance(value, str) else value
 
 
 def main(argv=None) -> int:

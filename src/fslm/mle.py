@@ -1,12 +1,14 @@
 """Maximum-likelihood baseline via the concentrated likelihood in rho.
 
-For fixed rho, beta and sigma2 have closed-form maximizers (OLS of
-A(rho)y on Z and the mean squared residual), leaving a one-dimensional
-concentrated log-likelihood
+For fixed rho, beta and sigma2 have closed-form maximizers.  With B and
+E the OLS coefficients and residuals of [y, Wy] on Z (FslmData.ols_pair),
+beta_hat = B (1, -rho) and sigma2_hat = ||E (1, -rho)||^2 / n, an
+n-vector sum that keeps the precision the Gram form loses near the
+optimum.  The concentrated log-likelihood
 
     l_c(rho) = const - (n/2) ln sigma2_hat(rho) + ln|I - rho W|
 
-maximized by golden-section search.  Standard errors come from the
+is maximized by golden-section search.  Standard errors come from the
 analytic observed information (Anselin 1988, Spatial Econometrics, ch. 6).
 """
 
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FslmData, Theta, _residual, bic, log_likelihood
-from .spatial import log_det_A
+from .model import FslmData, Theta, _gram_form, bic, log_likelihood
+from .spatial import log_det_A, stability_interval
 
 __all__ = ["MlEstimate", "fit_ml", "concentrated_loglik"]
 
@@ -46,18 +48,14 @@ class MlEstimate:
         }
 
 
-def _profile(rho: float, data: FslmData):
-    ay = data.y - rho * data.wy
-    beta = data.ols_projector @ ay
-    r = ay - data.z @ beta
-    sigma2 = float(r @ r) / data.n
-    return beta, sigma2
+def _sigma2_hat(rho: float, data: FslmData) -> float:
+    e = data.ols_pair[1] @ (1.0, -rho)
+    return float(e @ e) / data.n
 
 
 def concentrated_loglik(rho: float, data: FslmData) -> float:
     """l_c(rho) up to an additive constant."""
-    _, sigma2 = _profile(rho, data)
-    return -0.5 * data.n * np.log(sigma2) + log_det_A(data.w, rho)
+    return -0.5 * data.n * np.log(_sigma2_hat(rho, data)) + log_det_A(data.w, rho)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
@@ -77,15 +75,17 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def fit_ml(data: FslmData, rho_interval=(0.0, 0.999)) -> MlEstimate:
-    """Maximize the concentrated likelihood over the rho interval."""
+def fit_ml(data: FslmData) -> MlEstimate:
+    """Maximize the concentrated likelihood over [0, 0.999], clipped to
+    W's stability interval."""
     s = np.linalg.svd(data.z, compute_uv=False)
     # with n < k the SVD sees only n singular values, all of which can be large
     if data.n < data.k or s[-1] < 1e-10 * s[0]:
         raise np.linalg.LinAlgError("design matrix Z is rank deficient")
 
-    lo, hi = rho_interval
-    grid = np.linspace(lo, hi, 200)
+    # l_c falls to -inf at 1/lambda_max, so a margin keeps the end finite
+    hi = min(0.999, stability_interval(data.w)[1] * (1 - 1e-9))
+    grid = np.linspace(0.0, hi, 200)
     vals = np.array([concentrated_loglik(r, data) for r in grid])
     # unimodality scan: a single sign change in the discrete slope expected
     slopes = np.sign(np.diff(vals))
@@ -97,38 +97,29 @@ def fit_ml(data: FslmData, rho_interval=(0.0, 0.999)) -> MlEstimate:
     bracket_hi = grid[min(i_best + 1, grid.size - 1)]
     rho_hat = _golden_max(lambda r: concentrated_loglik(r, data), bracket_lo, bracket_hi)
 
-    beta_hat, sigma2_hat = _profile(rho_hat, data)
-    theta = Theta(beta=beta_hat, sigma2=sigma2_hat, rho=rho_hat)
-    ll = log_likelihood(theta, data)
-    std_beta, std_sigma2, std_rho = _observed_info_std(theta, data)
-    return MlEstimate(
-        theta=theta,
-        log_likelihood=ll,
-        bic=bic(theta, data),
-        std_beta=std_beta,
-        std_sigma2=std_sigma2,
-        std_rho=std_rho,
-    )
+    beta_hat = data.ols_pair[0] @ (1.0, -rho_hat)
+    theta = Theta(beta=beta_hat, sigma2=_sigma2_hat(rho_hat, data), rho=rho_hat)
+    return MlEstimate(theta, log_likelihood(theta, data), bic(theta, data),
+                      *_observed_info_std(theta, data))
 
 
 def _observed_info_std(theta: Theta, data: FslmData):
     """Std errors from the inverse of the exact observed information of
-    the full log-likelihood in (beta, sigma2, rho)."""
+    the full log-likelihood in (rho, beta, sigma2).  With X_1 = [Wy, Z],
+    X_1'X_1 = G[1:, 1:] and X_1'r = (Gv)[1:]."""
     k, n = data.k, data.n
     s2 = theta.sigma2
-    r = _residual(theta.beta, theta.rho, data)
+    gv, rr = _gram_form(theta.beta, theta.rho, data)
     lam = data.w.eigenvalues
     g = lam / (1.0 - theta.rho * lam)
     hess = np.empty((k + 2, k + 2))
-    hess[:k, :k] = -data.ztz / s2
-    hess[:k, k] = hess[k, :k] = -(data.z.T @ r) / s2**2
-    hess[:k, k + 1] = hess[k + 1, :k] = -(data.z.T @ data.wy) / s2
-    hess[k, k] = n / (2 * s2**2) - (r @ r) / s2**3
-    hess[k, k + 1] = hess[k + 1, k] = -(data.wy @ r) / s2**2
-    hess[k + 1, k + 1] = -(data.wy @ data.wy) / s2 - np.sum(g * g).real
+    hess[:-1, :-1] = -data.gram[1:, 1:] / s2
+    hess[0, 0] -= np.sum(g * g).real
+    hess[:-1, -1] = hess[-1, :-1] = -gv[1:] / s2**2
+    hess[-1, -1] = n / (2 * s2**2) - rr / s2**3
     try:
         cov = np.linalg.inv(-hess)
         std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
         std = np.full(k + 2, np.nan)
-    return std[:k], float(std[k]), float(std[k + 1])
+    return std[1:-1], float(std[-1]), float(std[0])

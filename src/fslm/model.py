@@ -1,13 +1,15 @@
 """Likelihood, full conditional distributions and BIC for the spatial lag
 model with score-matrix design.
 
-The model is y = rho*W*y + Z*beta + eps, eps ~ N(0, sigma2*I).  Writing
-A = I - rho*W, the likelihood carries the Jacobian factor |A| on top of
-the Gaussian density of A*y - Z*beta; ln|A| comes from the eigenvalues
-of W (spatial.log_det_A).  Conditionals:
+The model is y = rho*W*y + Z*beta + eps, eps ~ N(0, sigma2*I).  With
+A = I - rho*W and v = (1, -rho, -beta), the data enter only through the
+Gram matrix G = X'X of X = [y, Wy, Z] (LeSage & Pace 2009, ch. 3):
+||A y - Z beta||^2 = v'Gv.  log_likelihood and rho_log_conditional are
+two views of one kernel, ln|A| - v'Gv/(2 sigma2), with ln|A| from W's
+eigenvalues (spatial.log_det_A).  Conditionals:
 
-  sigma2 | beta, rho  ~  InvGamma(n/2 + a, (||A y - Z beta||^2 + 2b)/2)
-  beta   | sigma2, rho ~  N(mu, V) with precision Z'Z/sigma2 + Sigma^{-1}
+  sigma2 | beta, rho  ~  InvGamma(n/2 + a, (v'Gv + 2b)/2)
+  beta   | sigma2, rho ~  N(mu, V) with precision G[2:, 2:]/sigma2 + Sigma^{-1}
   rho    | beta, sigma2   has no standard form (the |A| term), handled by
                           a Metropolis step in the sampler.
 """
@@ -39,7 +41,7 @@ class FslmData:
     """Response vector, score design matrix and spatial weights.
 
     y and z are stored read-only, so the products of the data that the
-    likelihood reuses are computed once and stay valid.
+    likelihood reuses (gram, ols_pair) are computed once and stay valid.
     """
 
     y: np.ndarray
@@ -64,19 +66,21 @@ class FslmData:
         return self.z.shape[1]
 
     @cached_property
-    def wy(self) -> np.ndarray:
-        """W y."""
-        return self.w.entries @ self.y
+    def _x(self) -> np.ndarray:
+        """X = [y, Wy, Z], n x (k + 2)."""
+        return read_only(np.column_stack([self.y, self.w.entries @ self.y, self.z]))
 
     @cached_property
-    def ztz(self) -> np.ndarray:
-        """Z'Z."""
-        return self.z.T @ self.z
+    def gram(self) -> np.ndarray:
+        """G = X'X, (k + 2) x (k + 2): the likelihood's sufficient statistic."""
+        return read_only(self._x.T @ self._x)
 
     @cached_property
-    def ols_projector(self) -> np.ndarray:
-        """(Z'Z)^{-1} Z', which maps a response to its OLS coefficients."""
-        return np.linalg.solve(self.ztz, self.z.T)
+    def ols_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """OLS coefficients B (k x 2) and residuals E (n x 2) of [y, Wy] on Z."""
+        g = self.gram
+        b = np.linalg.solve(g[2:, 2:], g[2:, :2])
+        return read_only(b), read_only(self._x[:, :2] - self.z @ b)
 
 
 @dataclass(frozen=True)
@@ -127,23 +131,26 @@ class Theta:
             raise ValueError("sigma2 must be nonnegative")
 
 
-def _residual(beta: np.ndarray, rho: float, data: FslmData) -> np.ndarray:
-    ay = data.y - rho * data.wy
-    return ay - data.z @ beta
+def _gram_form(beta: np.ndarray, rho: float, data: FslmData) -> tuple[np.ndarray, float]:
+    """X'r = Gv and r'r = v'Gv for r = (I - rho*W) y - Z beta; r'r is
+    clamped at 0, as at an exact fit its rounding error has either sign."""
+    v = np.concatenate(([1.0, -rho], -beta))
+    gv = data.gram @ v
+    return gv, max(float(v @ gv), 0.0)
+
+
+def _log_kernel(beta: np.ndarray, sigma2: float, rho: float, data: FslmData) -> float:
+    """ln|I - rho*W| - v'Gv/(2 sigma2); raises LinAlgError where det <= 0."""
+    return log_det_A(data.w, rho) - 0.5 * _gram_form(beta, rho, data)[1] / sigma2
 
 
 def log_likelihood(theta: Theta, data: FslmData) -> float:
     """Gaussian log-likelihood with the |I - rho*W| Jacobian term."""
     if theta.sigma2 <= 0:
         raise ValueError("sigma2 must be positive for density evaluation")
-    n = data.n
-    r = _residual(theta.beta, theta.rho, data)
-    ld = log_det_A(data.w, theta.rho)
     return float(
-        -0.5 * n * np.log(2 * np.pi)
-        - 0.5 * n * np.log(theta.sigma2)
-        - 0.5 * (r @ r) / theta.sigma2
-        + ld
+        -0.5 * data.n * np.log(2 * np.pi * theta.sigma2)
+        + _log_kernel(theta.beta, theta.sigma2, theta.rho, data)
     )
 
 
@@ -151,8 +158,7 @@ def sigma2_conditional_params(
     beta: np.ndarray, rho: float, data: FslmData, prior: PriorSpec
 ) -> tuple[float, float]:
     """Inverse-gamma (shape, scale) of sigma2 given beta and rho."""
-    r = _residual(beta, rho, data)
-    return data.n / 2 + prior.a, (r @ r + 2 * prior.b) / 2
+    return data.n / 2 + prior.a, (_gram_form(beta, rho, data)[1] + 2 * prior.b) / 2
 
 
 def beta_conditional_params(
@@ -165,10 +171,9 @@ def beta_conditional_params(
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    prec = data.ztz + sigma2 * prior.precision
-    c = cho_factor(prec)
-    ay = data.y - rho * data.wy
-    mean = cho_solve(c, data.z.T @ ay + sigma2 * prior.precision_mean)
+    g = data.gram
+    c = cho_factor(g[2:, 2:] + sigma2 * prior.precision)
+    mean = cho_solve(c, g[2:, 0] - rho * g[2:, 1] + sigma2 * prior.precision_mean)
     cov = sigma2 * cho_solve(c, np.eye(data.k))
     cov = 0.5 * (cov + cov.T)
     return mean, cov
@@ -191,16 +196,11 @@ def rho_log_conditional(
     if rho < lo or rho > hi:
         return -np.inf
     try:
-        ld = log_det_A(data.w, rho)
+        return _log_kernel(beta, sigma2, rho, data)
     except np.linalg.LinAlgError:
         return -np.inf
-    r = _residual(beta, rho, data)
-    return float(ld - 0.5 * (r @ r) / sigma2)
 
 
 def bic(theta_hat: Theta, data: FslmData) -> float:
     """-2 log L + (k + 2) ln n; the +2 counts sigma2 and rho."""
-    return float(
-        -2.0 * log_likelihood(theta_hat, data)
-        + (data.k + 2) * np.log(data.n)
-    )
+    return float(-2.0 * log_likelihood(theta_hat, data) + (data.k + 2) * np.log(data.n))

@@ -301,3 +301,41 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert run(["--config", config, "simulate", "--out", tmp_path / "o"]) == 2
     assert "n_iterr" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_simulate_edge_out_of_range_exits_2(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("i,j\n1,12\n")
+    code = run(["simulate", "--edges", edges, "--n-units", "10", "--out", tmp_path / "o"])
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_simulate_zero_units_is_not_ignored(tmp_path):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("i,j\n" + "".join(f"{i},{i + 1}\n" for i in range(9)))
+    code = run(["simulate", "--edges", edges, "--n-units", "0", "--out", tmp_path / "o"])
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [("seed", 1.5), ("edges", 0), ("grid", [3, 3])])
+def test_config_value_of_wrong_json_type_exits_2(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    assert run(["--config", config, "simulate", "--out", tmp_path / "o"]) == 2
+    assert f"{key} must be a JSON" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_switch_and_choice_values(bundle, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    argv = ["--config", config, "fit", "--data", bundle, "--out", tmp_path / "o"]
+    config.write_text(json.dumps({"method": "bogus"}))
+    assert run(argv) == 2
+    assert "method must be one of" in capsys.readouterr().err
+    config.write_text(json.dumps({"adapt": "no"}))
+    assert run(argv) == 2
+    assert "adapt must be a JSON boolean" in capsys.readouterr().err
+    config.write_text(json.dumps({"method": "ml", "adapt": False}))
+    assert run(argv) == 0

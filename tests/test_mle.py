@@ -10,6 +10,7 @@ from fslm import (
     log_likelihood,
     make_dataset,
     row_standardize,
+    stability_interval,
     weights_from_edges,
 )
 from fslm.mle import concentrated_loglik
@@ -139,3 +140,13 @@ def test_std_errors_finite_and_positive():
     est = fit_ml(FslmData(y=y, z=z, w=w))
     assert np.all(np.isfinite(est.std_beta)) and np.all(est.std_beta > 0)
     assert est.std_sigma2 > 0 and est.std_rho > 0
+
+
+def test_search_stays_inside_stability_interval_of_binary_weights():
+    # the unstandardized rook lattice has lambda_max = 4 cos(pi/12), so
+    # det(I - rho W) turns negative at rho = 0.2588, inside [0, 0.999]
+    w = grid_contiguity(11, 11)
+    ds = make_dataset(SimulationSpec(rho_true=0.15, seed=8), w)
+    est = fit_ml(ds.data)
+    assert 0.0 <= est.theta.rho < stability_interval(w)[1] < 0.2589
+    assert est.theta.rho == pytest.approx(0.15, abs=0.05)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fslm import (
@@ -10,9 +14,12 @@ from fslm import (
     bic,
     log_likelihood,
     rho_log_conditional,
+    row_standardize,
     sigma2_conditional_params,
+    stability_interval,
     weights_from_edges,
 )
+from fslm.mle import _observed_info_std
 
 
 def make_data(n=6, k=2, seed=0, edges=None):
@@ -285,13 +292,17 @@ def test_gibbs_conditionals_match_grid_posterior():
 
 def test_data_products_cached():
     data = make_data(n=8, k=3, seed=13)
-    assert np.array_equal(data.wy, data.w.entries @ data.y)
-    assert np.array_equal(data.ztz, data.z.T @ data.z)
-    ols, *_ = np.linalg.lstsq(data.z, data.y, rcond=None)
-    assert data.ols_projector @ data.y == pytest.approx(ols, abs=1e-12)
-    assert data.wy is data.wy and data.ols_projector is data.ols_projector
+    x = np.column_stack([data.y, data.w.entries @ data.y, data.z])
+    assert np.array_equal(data.gram, x.T @ x)
+    b, e = data.ols_pair
+    ols, *_ = np.linalg.lstsq(data.z, x[:, :2], rcond=None)
+    assert b == pytest.approx(ols, abs=1e-12)
+    assert e == pytest.approx(x[:, :2] - data.z @ ols, abs=1e-12)
+    assert data.gram is data.gram and data.ols_pair is data.ols_pair
     with pytest.raises(ValueError):
         data.y[0] = 1.0  # read-only, so the cached products cannot go stale
+    with pytest.raises(ValueError):
+        data.gram[0, 0] = 1.0
 
 
 def test_prior_precision_cached():
@@ -312,3 +323,101 @@ def test_rho_conditional_vanishes_where_singular():
     for rho in (1.0, 1.5):
         assert rho_log_conditional(rho, beta, 1.0, data, prior) == -np.inf
     assert np.isfinite(rho_log_conditional(0.5, beta, 1.0, data, prior))
+
+
+def vector_residual_oracle(beta, sigma2, rho, data, prior):
+    """Every likelihood quantity from the n-vector residual
+    r = (I - rho W) y - Z beta, slogdet and dense inverses."""
+    n, k = data.n, data.k
+    w, y, z = data.w.entries, data.y, data.z
+    wy = w @ y
+    r = y - rho * wy - z @ beta
+    rr = r @ r
+    sign, logdet = np.linalg.slogdet(np.eye(n) - rho * w)
+    assert sign > 0
+    kernel = logdet - 0.5 * rr / sigma2
+    cov = np.linalg.inv(z.T @ z / sigma2 + np.linalg.inv(prior.sigma_beta))
+    prior_mean = np.linalg.solve(prior.sigma_beta, prior.m)
+    mean = cov @ (z.T @ (y - rho * wy) / sigma2 + prior_mean)
+    # observed information in (beta, sigma2, rho); sum g^2 = tr((W A^-1)^2)
+    wa = w @ np.linalg.inv(np.eye(n) - rho * w)
+    hess = np.empty((k + 2, k + 2))
+    hess[:k, :k] = -z.T @ z / sigma2
+    hess[:k, k] = hess[k, :k] = -(z.T @ r) / sigma2**2
+    hess[:k, k + 1] = hess[k + 1, :k] = -(z.T @ wy) / sigma2
+    hess[k, k] = n / (2 * sigma2**2) - rr / sigma2**3
+    hess[k, k + 1] = hess[k + 1, k] = -(wy @ r) / sigma2**2
+    hess[k + 1, k + 1] = -(wy @ wy) / sigma2 - np.trace(wa @ wa)
+    return {
+        "loglik": -0.5 * n * np.log(2 * np.pi * sigma2) + kernel,
+        "rho_cond": kernel,
+        "sigma2_params": (n / 2 + prior.a, (rr + 2 * prior.b) / 2),
+        "beta_params": (mean, cov),
+        "hess": hess,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    extra=st.integers(0, 16),
+    density=st.floats(0.0, 1.0),
+    standardize=st.booleans(),
+    u=st.floats(-0.95, 0.95),
+    sigma2=st.floats(0.05, 20.0),
+)
+def test_gram_kernel_matches_vector_residual(seed, k, extra, density, standardize, u,
+                                             sigma2):
+    n = k + 3 + extra  # enough residual dimensions for a regular information
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < density]
+    w = weights_from_edges(n, edges)
+    if standardize:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # isolated units stay all-zero rows
+            w = row_standardize(w)
+    lo, hi = stability_interval(w)
+    end = hi if u > 0 else -lo
+    rho = u * (end if np.isfinite(end) else 1.0)
+    z = rng.standard_normal((n, k))
+    y = 3.0 * rng.standard_normal(n)
+    data = FslmData(y=y, z=z, w=w)
+    beta = rng.standard_normal(k)
+    prior = PriorSpec(m=rng.standard_normal(k), rho_support=(-1e3, 1e3),
+                      sigma_beta=np.diag(rng.uniform(0.5, 5.0, k)))
+    want = vector_residual_oracle(beta, sigma2, rho, data, prior)
+
+    theta = Theta(beta=beta, sigma2=sigma2, rho=rho)
+    loglik = log_likelihood(theta, data)
+    assert loglik == pytest.approx(want["loglik"], rel=1e-10, abs=1e-10)
+    assert rho_log_conditional(rho, beta, sigma2, data, prior) == pytest.approx(
+        want["rho_cond"], rel=1e-10, abs=1e-10)
+    shape, scale = sigma2_conditional_params(beta, rho, data, prior)
+    assert shape == want["sigma2_params"][0]
+    assert scale == pytest.approx(want["sigma2_params"][1], rel=1e-10)
+    mean, cov = beta_conditional_params(sigma2, rho, data, prior)
+    assert mean == pytest.approx(want["beta_params"][0], rel=1e-8, abs=1e-10)
+    assert cov == pytest.approx(want["beta_params"][1], rel=1e-8, abs=1e-12)
+
+    hess = want["hess"]
+    assume(np.linalg.cond(hess) < 1e8)
+    std = np.sqrt(np.clip(np.diag(np.linalg.inv(-hess)), 0.0, None))
+    std_beta, std_sigma2, std_rho = _observed_info_std(theta, data)
+    got = np.concatenate([std_beta, [std_sigma2, std_rho]])
+    assert got == pytest.approx(std, rel=1e-6, abs=1e-9 * std.max())
+
+
+def test_exact_fit_squared_residual_is_not_negative():
+    # y = Z beta at rho = 0: the residual is exactly zero, and the expanded
+    # v'Gv reads a rounding error of either sign there
+    prior = PriorSpec.diffuse(3)
+    w = weights_from_edges(30, [(i, i + 1) for i in range(29)])
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((30, 3))
+        beta = 10.0 * rng.standard_normal(3)
+        data = FslmData(y=z @ beta, z=z, w=w)
+        _, scale = sigma2_conditional_params(beta, 0.0, data, prior)
+        assert scale >= prior.b
+        assert rho_log_conditional(0.0, beta, 1e-6, data, prior) <= 0.0
