@@ -28,8 +28,8 @@ from .spatial import (
     weights_from_edges,
 )
 
-BAYES_METHODS = {"normal-kernel": "normal", "uniform-kernel": "uniform"}
-TABLE1_METHODS = ["uniform-kernel", "normal-kernel", "ml"]
+# in table1's row order; "<kernel>-kernel" names a Bayesian fit
+METHODS = ["uniform-kernel", "normal-kernel", "ml"]
 JSON_TYPES = {bool: "boolean", str: "string", int: "integer", float: "number"}
 
 
@@ -45,13 +45,25 @@ def _parse_rho_list(text: str) -> list[float]:
     vals = [float(v) for v in text.split(",") if v.strip() != ""]
     if not vals:
         raise argparse.ArgumentTypeError("rho-list must not be empty")
+    if len(set(vals)) < len(vals):
+        raise argparse.ArgumentTypeError("rho-list must not repeat a value")
     return vals
+
+
+class _Commands(argparse._SubParsersAction):
+    """Subcommands whose defaults a --config file sets before they parse
+    their flags, so that the file can stand in for any flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if namespace.config is not None:
+            _apply_config(self.choices[values[0]], values[0], namespace.config)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fslm")
     parser.add_argument("--config", type=Path, help="JSON file with flag defaults")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Commands)
 
     sim = sub.add_parser("simulate", help="generate a synthetic data bundle")
     sim.add_argument("--rho", type=float, default=0.5)
@@ -68,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--data", type=Path, required=True, help="bundle directory")
     fit.add_argument(
         "--method",
-        choices=["normal-kernel", "uniform-kernel", "ml", "all"],
+        choices=METHODS + ["all"],
         default="normal-kernel",
     )
     fit.add_argument("--seed", type=int, default=0)
@@ -154,11 +166,8 @@ def _fit_one(method: str, data: FslmData, args) -> tuple[dict, object]:
         n_iter=args.n_iter,
         burn_in=args.burn_in,
         tuning_c=args.tuning_c,
-        kernel=BAYES_METHODS[method],
+        kernel=method.removesuffix("-kernel"),
         adapt=getattr(args, "adapt", True),
-        # at least ten adaptations within the burn-in: with the default
-        # 100-iteration blocks a short burn-in would adapt once or never
-        adapt_block=min(MhConfig.adapt_block, max(1, args.burn_in // 10)),
         seed=args.seed,
     )
     chain = run_mwg(data, prior, config)
@@ -169,12 +178,8 @@ def _fit_one(method: str, data: FslmData, args) -> tuple[dict, object]:
 def cmd_fit(args) -> int:
     data = _load_bundle(args.data, args.basis_count)
     args.out.mkdir(parents=True, exist_ok=True)
-    methods = (
-        ["normal-kernel", "uniform-kernel", "ml"] if args.method == "all"
-        else [args.method]
-    )
     report = {}
-    for method in methods:
+    for method in METHODS if args.method == "all" else [args.method]:
         entry, chain = _fit_one(method, data, args)
         report[method] = entry
         if chain is not None:
@@ -227,7 +232,7 @@ def cmd_table1(args) -> int:
             n_basis=args.basis_count, seed=args.seed + 1000 * rep + int(rho * 1e6),
         )
         data = make_dataset(spec).data
-        return {method: _fit_one(method, data, args)[0] for method in TABLE1_METHODS}
+        return {method: _fit_one(method, data, args)[0] for method in METHODS}
 
     by_key = {}
     for rho in args.rho_list:
@@ -244,7 +249,7 @@ def cmd_table1(args) -> int:
         writer = csv.writer(f)
         writer.writerow(header)
         for rho in args.rho_list:
-            for method in TABLE1_METHODS:
+            for method in METHODS:
                 entries = [r[method] for r in by_key[rho]]
                 stack = np.array(
                     [e["beta_mean"] + [e["sigma2_mean"], e["rho_mean"], e["bic"]]
@@ -276,26 +281,20 @@ COMMANDS = {
 }
 
 
-def _apply_config(parser, args, argv):
-    """Parse argv again with the config file's values as the chosen
-    subcommand's defaults, so flags still win over them."""
-    defaults = json.loads(Path(args.config).read_text())
+def _apply_config(sub, command, path) -> None:
+    """Make the config file's values the subcommand's defaults, so flags
+    still win over them, and stop requiring the flags the file supplies."""
+    defaults = json.loads(Path(path).read_text())
     if not isinstance(defaults, dict):
-        raise ValueError(f"{args.config} must hold a JSON object")
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    sub = subparsers.choices[args.command]
+        raise ValueError(f"{path} must hold a JSON object")
     actions = {a.dest: a for a in sub._actions}
     unknown = sorted(set(defaults) - set(actions))
     if unknown:
-        raise ValueError(
-            f"unknown {args.command} option(s) in {args.config}: {', '.join(unknown)}"
-        )
+        raise ValueError(f"unknown {command} option(s) in {path}: {', '.join(unknown)}")
     for key, value in defaults.items():
-        defaults[key] = _config_value(actions[key], value, f"{args.config}: {key}")
+        defaults[key] = _config_value(actions[key], value, f"{path}: {key}")
+        actions[key].required = False
     sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
 
 
 def _config_value(action, value, where):
@@ -313,11 +312,9 @@ def _config_value(action, value, where):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config is not None:
-            args = _apply_config(parser, args, argv)
+        # a --config file's errors surface while the arguments are parsed
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     # LinAlgError subclasses ValueError, so it must be caught first
     except np.linalg.LinAlgError as exc:

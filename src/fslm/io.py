@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +44,36 @@ def write_curves_csv(path, t_grid: np.ndarray, obs: np.ndarray) -> None:
             writer.writerow([i] + [fmt(v) for v in row])
 
 
+def _read_table(path, width: int | None = None) -> tuple[list[str], np.ndarray]:
+    """A CSV file's header fields and its rows of floats, each as wide as
+    the header unless width is given; a ValueError naming the file when a
+    row does not parse or is of another width."""
+    with open(path, newline="") as f, warnings.catch_warnings():
+        # a header-only file is a table without rows
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        header = f.readline().rstrip("\r\n").split(",")
+        try:
+            rows = np.loadtxt(f, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    width = width or len(header)
+    if rows.size and rows.shape[1] != width:
+        raise ValueError(f"{path}: rows must hold {width} values")
+    return header, rows.reshape(-1, width)
+
+
+def _by_id(rows: np.ndarray, path) -> np.ndarray:
+    """Rows ordered by their first column, which must number them 0..n-1."""
+    order = np.argsort(rows[:, 0], kind="stable")
+    if not np.array_equal(rows[order, 0], np.arange(len(rows))):
+        raise ValueError(f"{path}: ids must number the rows 0..{len(rows) - 1}")
+    return rows[order]
+
+
 def read_curves_csv(path):
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        t_grid = np.array([float(h.split("=", 1)[1]) for h in header[1:]])
-        rows = sorted(reader, key=lambda r: int(r[0]))
-        obs = np.array([[float(v) for v in r[1:]] for r in rows])
-    return t_grid, obs
+    header, rows = _read_table(path)
+    t_grid = np.array([float(h.removeprefix("t=")) for h in header[1:]])
+    return t_grid, np.ascontiguousarray(_by_id(rows, path)[:, 1:])
 
 
 def write_response_csv(path, y: np.ndarray) -> None:
@@ -62,11 +85,7 @@ def write_response_csv(path, y: np.ndarray) -> None:
 
 
 def read_response_csv(path) -> np.ndarray:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        rows = sorted(reader, key=lambda r: int(r[0]))
-    return np.array([float(r[1]) for r in rows])
+    return np.ascontiguousarray(_by_id(_read_table(path, 2)[1], path)[:, 1])
 
 
 def write_weights_csv(path, w: SpatialWeights) -> None:
@@ -80,15 +99,14 @@ def write_weights_csv(path, w: SpatialWeights) -> None:
 
 
 def read_weights_csv(path, n: int | None = None) -> SpatialWeights:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        triplets = [(int(r[0]), int(r[1]), float(r[2])) for r in reader]
+    rows = _read_table(path, 3)[1]
+    ij = rows[:, :2].astype(int)
     if n is None:
-        n = 1 + max(max(i for i, _, _ in triplets), max(j for _, j, _ in triplets))
+        n = 1 + int(ij.max(initial=-1))
+    if np.any(ij != rows[:, :2]) or np.any((ij < 0) | (ij >= n)):
+        raise ValueError(f"{path}: indices i, j must be integers in [0, {n})")
     entries = np.zeros((n, n))
-    for i, j, v in triplets:
-        entries[i, j] = v
+    entries[ij[:, 0], ij[:, 1]] = rows[:, 2]
     sums = entries.sum(axis=1)
     standardized = bool(
         np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0))
@@ -119,8 +137,8 @@ def write_truth_json(path, dataset) -> None:
 
 
 def write_chain_csv(path, chain: Chain) -> None:
-    """Header `iter,beta_1..beta_k,sigma2,rho,accepted`, one row per stored
-    draw with its iteration number; backs trace plots."""
+    """Header `iter,beta_1..beta_k,sigma2,rho,accepted`, one row per
+    iteration, numbered from 1; backs trace plots."""
     k = chain.draws_beta.shape[1]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -129,7 +147,7 @@ def write_chain_csv(path, chain: Chain) -> None:
         )
         for it in range(len(chain)):
             writer.writerow(
-                [(it + 1) * chain.thin]
+                [it + 1]
                 + [fmt(v) for v in chain.draws_beta[it]]
                 + [fmt(chain.draws_sigma2[it]), fmt(chain.draws_rho[it]),
                    int(chain.accepted[it])]

@@ -3,8 +3,10 @@
 Per iteration: draw beta from its normal conditional, sigma2 from its
 inverse-gamma conditional, then update rho by a symmetric random-walk
 Metropolis step (normal or uniform kernel).  The step scale c is
-adapted in blocks during burn-in toward a target acceptance band and
-frozen afterwards so the post-burn-in chain has a fixed kernel.
+adapted toward ACCEPTANCE_BAND after each block of
+min(100, burn_in // 10) iterations (at least one) of the burn-in, so
+every burn-in adapts it ten times or more, and frozen afterwards so the
+post-burn-in chain has a fixed kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ __all__ = [
     "summarize",
 ]
 
+# Block acceptance rates outside this band widen or shrink the step scale.
+ACCEPTANCE_BAND = (0.40, 0.60)
+
 
 @dataclass(frozen=True)
 class MhConfig:
@@ -43,11 +48,7 @@ class MhConfig:
     tuning_c: float = 0.1
     kernel: str = "normal"  # "normal" or "uniform"
     adapt: bool = True
-    adapt_block: int = 100
-    target_acceptance: tuple = (0.40, 0.60)
     seed: int = 0
-    init: Theta | None = None  # default_init(data) when None
-    thin: int = 1
 
     def __post_init__(self):
         if not 0 <= self.burn_in < self.n_iter:
@@ -56,23 +57,15 @@ class MhConfig:
             raise ValueError("tuning_c must be positive")
         if self.kernel not in ("normal", "uniform"):
             raise ValueError("kernel must be 'normal' or 'uniform'")
-        if self.thin < 1:
-            raise ValueError("thin must be at least 1")
-        if self.adapt_block < 1:
-            raise ValueError("adapt_block must be at least 1")
-        lo, hi = self.target_acceptance
-        if not 0 < lo < hi < 1:
-            raise ValueError("target_acceptance must be an increasing pair in (0, 1)")
 
 
 @dataclass
 class Chain:
-    draws_beta: np.ndarray     # n_stored x k
-    draws_sigma2: np.ndarray   # n_stored
-    draws_rho: np.ndarray      # n_stored
-    accepted: np.ndarray       # n_stored bool
+    draws_beta: np.ndarray     # n_iter x k
+    draws_sigma2: np.ndarray   # n_iter
+    draws_rho: np.ndarray      # n_iter
+    accepted: np.ndarray       # n_iter bool
     tuning_trace: np.ndarray   # c value per adaptation block
-    thin: int = 1              # iterations per stored draw
 
     def __len__(self) -> int:
         return self.draws_rho.shape[0]
@@ -114,9 +107,9 @@ def propose_rho(rho_old: float, c: float, kernel: str, rng: np.random.Generator)
     raise ValueError("kernel must be 'normal' or 'uniform'")
 
 
-def adapt_tuning(c: float, block_acceptance: float, target=(0.40, 0.60)) -> float:
-    """Widen or shrink the step scale by 10% if outside the target band."""
-    lo, hi = target
+def adapt_tuning(c: float, block_acceptance: float) -> float:
+    """Widen or shrink the step scale by 10% if outside ACCEPTANCE_BAND."""
+    lo, hi = ACCEPTANCE_BAND
     if block_acceptance > hi:
         return c * 1.1
     if block_acceptance < lo:
@@ -148,24 +141,21 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
             f"interval ({stable_lo:.6g}, {stable_hi:.6g})"
         )
     rng = np.random.default_rng(config.seed)
-    theta = config.init if config.init is not None else default_init(data, prior)
-    if not lo <= theta.rho <= hi:
-        raise ValueError("initial rho outside the prior support")
+    theta = default_init(data, prior)
 
     k = data.k
-    n_store = config.n_iter // config.thin
-    draws_beta = np.empty((n_store, k))
-    draws_sigma2 = np.empty(n_store)
-    draws_rho = np.empty(n_store)
-    accepted = np.zeros(n_store, dtype=bool)
+    draws_beta = np.empty((config.n_iter, k))
+    draws_sigma2 = np.empty(config.n_iter)
+    draws_rho = np.empty(config.n_iter)
+    accepted = np.zeros(config.n_iter, dtype=bool)
     tuning_trace = []
 
-    beta, sigma2, rho = theta.beta.copy(), theta.sigma2, theta.rho
+    beta, sigma2, rho = theta.beta, theta.sigma2, theta.rho
     c = config.tuning_c
+    block = min(100, max(1, config.burn_in // 10))
     block_accepts = 0
-    stored = 0
 
-    for j in range(1, config.n_iter + 1):
+    for j in range(config.n_iter):
         mean, cov = beta_conditional_params(sigma2, rho, data, prior)
         beta = mean + np.linalg.cholesky(cov) @ rng.standard_normal(k)
 
@@ -183,18 +173,14 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
             rho = rho_new
             block_accepts += 1
 
-        if j % config.thin == 0:
-            draws_beta[stored] = beta
-            draws_sigma2[stored] = sigma2
-            draws_rho[stored] = rho
-            accepted[stored] = accept
-            stored += 1
+        draws_beta[j] = beta
+        draws_sigma2[j] = sigma2
+        draws_rho[j] = rho
+        accepted[j] = accept
 
-        if j % config.adapt_block == 0:
-            if config.adapt and j <= config.burn_in:
-                c = adapt_tuning(
-                    c, block_accepts / config.adapt_block, config.target_acceptance
-                )
+        if (j + 1) % block == 0:
+            if config.adapt and j < config.burn_in:
+                c = adapt_tuning(c, block_accepts / block)
             tuning_trace.append(c)
             block_accepts = 0
 
@@ -204,18 +190,16 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         draws_rho=draws_rho,
         accepted=accepted,
         tuning_trace=np.asarray(tuning_trace),
-        thin=config.thin,
     )
 
 
 def summarize(chain: Chain, burn_in: int, data: FslmData | None = None) -> PosteriorSummary:
     """Posterior means, stds and quantiles over the post-burn-in draws.
 
-    burn_in counts iterations, as in MhConfig; under thinning it drops
-    the first burn_in // thin stored draws.  BIC is evaluated at the
-    posterior-mean parameters when data is given, NaN otherwise.
+    The chain holds one draw per iteration, so burn_in is MhConfig's
+    iteration count.  BIC is evaluated at the posterior-mean parameters
+    when data is given, NaN otherwise.
     """
-    burn_in //= chain.thin
     if burn_in >= len(chain):
         raise ValueError("burn_in leaves no draws to summarize")
     qs = (2.5, 50.0, 97.5)

@@ -88,10 +88,6 @@ class MoranResult:
     n_permutations: int
 
 
-class _EdgeOutOfRange(ValueError, IndexError):
-    """An edge index outside [0, n): invalid input, also an IndexError."""
-
-
 def weights_from_edges(n: int, edges) -> SpatialWeights:
     """Binary symmetric contiguity matrix from an undirected edge list."""
     w = np.zeros((n, n))
@@ -99,7 +95,7 @@ def weights_from_edges(n: int, edges) -> SpatialWeights:
         if i == j:
             raise ValueError(f"self-loop at unit {i}")
         if not (0 <= i < n and 0 <= j < n):
-            raise _EdgeOutOfRange(f"edge ({i},{j}) out of range for n={n}")
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
         w[i, j] = 1.0
         w[j, i] = 1.0
     return SpatialWeights(n=n, entries=w, row_standardized=False)

@@ -99,14 +99,15 @@ def test_fit_adapts_at_least_ten_times_in_burn_in(bundle, tmp_path, monkeypatch,
                                                   burn_in, block):
     import fslm.cli
 
-    configs = []
+    chains = []
     real = fslm.cli.run_mwg
     monkeypatch.setattr(fslm.cli, "run_mwg",
-                        lambda data, prior, config: configs.append(config)
-                        or real(data, prior, config))
+                        lambda data, prior, config: chains.append(real(data, prior, config))
+                        or chains[-1])
     assert run(["fit", "--data", bundle, "--method", "normal-kernel",
                 "--n-iter", burn_in + 10, "--burn-in", burn_in, "--out", tmp_path]) == 0
-    assert configs[0].adapt_block == block
+    # one tuning_trace entry per block
+    assert len(chains[0].tuning_trace) == (burn_in + 10) // block
 
 
 def test_fit_svg_traces(bundle, tmp_path):
@@ -148,6 +149,15 @@ def test_table1_empty_rho_list(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["table1", "--rho-list", "", "--out", tmp_path / "x"])
     assert exc.value.code == 2
+
+
+def test_table1_repeated_rho_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["table1", "--rho-list", "0.3,0.5,0.30", "--grid", "4x4",
+             "--n-iter", "60", "--burn-in", "20", "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert "repeat" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "table1.csv").exists()
 
 
 def test_moran_cli_path_graph(tmp_path, capsys):
@@ -227,12 +237,11 @@ def test_chain_csv_numbers_thinned_draws_by_iteration(tmp_path):
         draws_rho=np.full(3, 0.5),
         accepted=np.ones(3, dtype=bool),
         tuning_trace=np.array([0.1]),
-        thin=2,
     )
     fio.write_chain_csv(tmp_path / "trace.csv", chain)
     with open(tmp_path / "trace.csv") as f:
         rows = list(csv.reader(f))
-    assert [r[0] for r in rows[1:]] == ["2", "4", "6"]
+    assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
 
 
 def test_simulate_edges_matches_grid_bundle(tmp_path):
@@ -339,3 +348,57 @@ def test_config_switch_and_choice_values(bundle, tmp_path, capsys):
     assert "adapt must be a JSON boolean" in capsys.readouterr().err
     config.write_text(json.dumps({"method": "ml", "adapt": False}))
     assert run(argv) == 0
+
+
+def test_config_supplies_required_flags(bundle, tmp_path):
+    config = tmp_path / "config.json"
+
+    def run_with(values, *argv):
+        config.write_text(json.dumps({k: str(v) for k, v in values.items()}))
+        return run(["--config", config, *argv])
+
+    assert run_with({"out": tmp_path / "sim"}, "simulate", "--grid", "4x4") == 0
+    assert (tmp_path / "sim" / "truth.json").exists()
+    assert run_with({"data": bundle, "out": tmp_path / "fit"}, "fit", "--method", "ml") == 0
+    assert (tmp_path / "fit" / "report.json").exists()
+    assert run_with({"rho_list": "0.3", "out": tmp_path / "t1"},
+                    "table1", "--grid", "4x4", "--n-iter", "60", "--burn-in", "20") == 0
+    assert (tmp_path / "t1" / "table1.csv").exists()
+    assert run_with({"response": bundle / "response.csv",
+                     "weights": bundle / "weights.csv"},
+                    "moran", "--permutations", "9") == 0
+
+
+def test_required_flag_missing_from_flags_and_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"weights": "w.csv"}))
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", config, "moran"])
+    assert exc.value.code == 2
+    assert "--response" in capsys.readouterr().err
+
+
+def write_moran_inputs(path, response, weights):
+    (path / "resp.csv").write_text("id,y\n" + response)
+    (path / "w.csv").write_text("i,j,w\n" + weights)
+    return ["moran", "--response", path / "resp.csv", "--weights", path / "w.csv"]
+
+
+PATH3 = "0,1,1\n1,0,1\n1,2,1\n2,1,1\n"
+
+
+def test_response_csv_trailing_blank_line_is_read(tmp_path, capsys):
+    assert run(write_moran_inputs(tmp_path, "0,1\n1,5\n2,2\n", PATH3)) == 0
+    expected = capsys.readouterr().out
+    assert run(write_moran_inputs(tmp_path, "0,1\n1,5\n2,2\n\n", PATH3)) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("response, weights, bad_file", [
+    ("0,1\n1\n2,2\n", PATH3, "resp.csv"),
+    ("0,1\n1,5\n2,2\n", PATH3 + "1,3,1\n", "w.csv"),
+    ("0,1\n1,5\n2,2\n", PATH3 + "0,-1,1\n", "w.csv"),
+], ids=["short-row", "index-at-n", "negative-index"])
+def test_malformed_bundle_csv_exits_2(tmp_path, capsys, response, weights, bad_file):
+    assert run(write_moran_inputs(tmp_path, response, weights)) == 2
+    assert bad_file in capsys.readouterr().err

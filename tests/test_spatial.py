@@ -36,7 +36,7 @@ def test_path_graph_degrees():
 def test_edge_errors():
     with pytest.raises(ValueError):
         weights_from_edges(3, [(1, 1)])
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         weights_from_edges(3, [(0, 3)])
 
 
