@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from .basis import build_bspline_basis, smooth_curves
 from .mle import fit_ml
 from .model import FslmData, PriorSpec
 from .sampler import MhConfig, run_mwg, summarize
-from .simgen import SimulationSpec, make_dataset
+from .simgen import GRID_T, SimulationSpec, make_dataset
 from .spatial import (
     grid_contiguity,
     morans_i,
@@ -135,7 +134,7 @@ def cmd_simulate(args) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    fio.write_curves_csv(out / "curves.csv", spec.grid_t, dataset.raw_curves)
+    fio.write_curves_csv(out / "curves.csv", GRID_T, dataset.raw_curves)
     fio.write_response_csv(out / "response.csv", dataset.data.y)
     fio.write_weights_csv(out / "weights.csv", dataset.data.w)
     fio.write_truth_json(out / "truth.json", dataset)
@@ -244,21 +243,16 @@ def cmd_table1(args) -> int:
     header = ["rho_true", "method"] + columns
     if args.replicates > 1:
         header += [f"sd_{c}" for c in columns]
+    table = []
+    for rho in args.rho_list:
+        for method in METHODS:
+            stack = np.array([e["beta_mean"] + [e["sigma2_mean"], e["rho_mean"], e["bic"]]
+                              for e in (r[method] for r in by_key[rho])])
+            sds = [stack.std(axis=0, ddof=1)] if args.replicates > 1 else []
+            table.append(np.concatenate([stack.mean(axis=0), *sds]))
     out_path = args.out / "table1.csv"
-    with open(out_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for rho in args.rho_list:
-            for method in METHODS:
-                entries = [r[method] for r in by_key[rho]]
-                stack = np.array(
-                    [e["beta_mean"] + [e["sigma2_mean"], e["rho_mean"], e["bic"]]
-                     for e in entries]
-                )
-                row = [fio.fmt(rho), method] + [fio.fmt(v) for v in stack.mean(axis=0)]
-                if args.replicates > 1:
-                    row += [fio.fmt(v) for v in stack.std(axis=0, ddof=1)]
-                writer.writerow(row)
+    fio.write_table(out_path, header, np.repeat(args.rho_list, len(METHODS)),
+                    np.tile(METHODS, len(args.rho_list)), *np.array(table).T)
     print(f"wrote {out_path}")
     return 0
 

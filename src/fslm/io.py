@@ -1,12 +1,15 @@
 """CSV/JSON serialization for curves, weights, chains and reports.
 
-All floats are written with 17 significant digits so files round-trip
-exactly and repeated runs with the same seed are byte-identical.
+Every CSV goes through one codec: `write_table` writes it and
+`_read_table` reads it.  A table is a header row of names, then one row
+per record, fields separated by commas and lines ended by CRLF; integers
+and booleans are written as `%d`, floats with 17 significant digits
+(`%.17g`, so files round-trip exactly and repeated runs with the same
+seed are byte-identical) and strings as they are.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from pathlib import Path
@@ -18,6 +21,7 @@ from .spatial import SpatialWeights
 
 __all__ = [
     "fmt",
+    "write_table",
     "write_curves_csv",
     "read_curves_csv",
     "write_response_csv",
@@ -35,23 +39,46 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_table(path, header: list[str], *columns) -> None:
+    """A CSV file of equal-length columns under a header row; integer and
+    boolean columns as `%d`, float columns as `%.17g`, string columns
+    (which must hold no comma) as `%s`."""
+    columns = [np.asarray(c) for c in columns]
+    kinds = [
+        "%s" if c.dtype.kind in "SU" else "%d" if c.dtype.kind in "biu" else "%.17g"
+        for c in columns
+    ]
+    # rows of Python numbers and strings format twice as fast as rows of
+    # numpy scalars, which a structured or numeric array would yield
+    table = np.array([c.tolist() for c in columns], dtype=object).T
+    with open(path, "w", newline="") as f:
+        np.savetxt(f, table, fmt=kinds, delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+
+
 def write_curves_csv(path, t_grid: np.ndarray, obs: np.ndarray) -> None:
     """Rows `id,<values>` under a header `id,t=<t0>,t=<t1>,...`."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id"] + [f"t={fmt(t)}" for t in t_grid])
-        for i, row in enumerate(obs):
-            writer.writerow([i] + [fmt(v) for v in row])
+    header = ["id"] + [f"t={fmt(t)}" for t in t_grid]
+    write_table(path, header, np.arange(len(obs)), *np.asarray(obs, dtype=float).T)
 
 
-def _read_table(path, width: int | None = None) -> tuple[list[str], np.ndarray]:
+def _read_table(path, width: int | None = None,
+                optional_header: list[str] | None = None) -> tuple[list[str], np.ndarray]:
     """A CSV file's header fields and its rows of floats, each as wide as
-    the header unless width is given; a ValueError naming the file when a
-    row does not parse or is of another width."""
+    the header unless width is given; a ValueError naming the file when
+    the file is empty or a row does not parse or is of another width.
+    With optional_header, a first line other than it is a row, not a
+    header, and the header returned is optional_header."""
     with open(path, newline="") as f, warnings.catch_warnings():
         # a header-only file is a table without rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        header = f.readline().rstrip("\r\n").split(",")
+        first = f.readline()
+        if not first:
+            raise ValueError(f"{path}: file is empty")
+        header = first.rstrip("\r\n").split(",")
+        if optional_header is not None and header != optional_header:
+            header = optional_header
+            f.seek(0)
         try:
             rows = np.loadtxt(f, delimiter=",", ndmin=2)
         except ValueError as exc:
@@ -77,11 +104,7 @@ def read_curves_csv(path):
 
 
 def write_response_csv(path, y: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id", "y"])
-        for i, v in enumerate(y):
-            writer.writerow([i, fmt(v)])
+    write_table(path, ["id", "y"], np.arange(len(y)), np.asarray(y, dtype=float))
 
 
 def read_response_csv(path) -> np.ndarray:
@@ -90,12 +113,8 @@ def read_response_csv(path) -> np.ndarray:
 
 def write_weights_csv(path, w: SpatialWeights) -> None:
     """Sparse triplet form `i,j,w`, nonzero entries in row-major order."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["i", "j", "w"])
-        rows, cols = np.nonzero(w.entries)
-        for i, j in zip(rows, cols):
-            writer.writerow([i, j, fmt(w.entries[i, j])])
+    rows, cols = np.nonzero(w.entries)
+    write_table(path, ["i", "j", "w"], rows, cols, w.entries[rows, cols])
 
 
 def read_weights_csv(path, n: int | None = None) -> SpatialWeights:
@@ -115,15 +134,12 @@ def read_weights_csv(path, n: int | None = None) -> SpatialWeights:
 
 
 def read_edges_csv(path) -> list[tuple[int, int]]:
-    """Two zero-based integer columns `i,j`."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        rows = list(reader)
-    if header[:2] != ["i", "j"]:
-        # headerless files are accepted too
-        rows.insert(0, header)
-    return [(int(r[0]), int(r[1])) for r in rows]
+    """Two zero-based integer columns `i,j`, under an optional `i,j` header."""
+    rows = _read_table(path, optional_header=["i", "j"])[1]
+    edges = rows.astype(int)
+    if np.any(edges != rows):
+        raise ValueError(f"{path}: edges must be pairs of integers")
+    return [(int(i), int(j)) for i, j in edges]
 
 
 def write_truth_json(path, dataset) -> None:
@@ -140,18 +156,9 @@ def write_chain_csv(path, chain: Chain) -> None:
     """Header `iter,beta_1..beta_k,sigma2,rho,accepted`, one row per
     iteration, numbered from 1; backs trace plots."""
     k = chain.draws_beta.shape[1]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["iter"] + [f"beta_{j + 1}" for j in range(k)] + ["sigma2", "rho", "accepted"]
-        )
-        for it in range(len(chain)):
-            writer.writerow(
-                [it + 1]
-                + [fmt(v) for v in chain.draws_beta[it]]
-                + [fmt(chain.draws_sigma2[it]), fmt(chain.draws_rho[it]),
-                   int(chain.accepted[it])]
-            )
+    header = ["iter"] + [f"beta_{j + 1}" for j in range(k)] + ["sigma2", "rho", "accepted"]
+    write_table(path, header, np.arange(1, len(chain) + 1), *chain.draws_beta.T,
+                chain.draws_sigma2, chain.draws_rho, chain.accepted)
 
 
 def write_json(path, payload: dict) -> None:

@@ -8,7 +8,7 @@ g(t) = exp(-t/10) * ((t/10)^2 + 3*(t/10) - 4); responses solve
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -18,12 +18,18 @@ from .model import FslmData, Theta
 from .spatial import SpatialWeights, grid_contiguity, row_standardize
 
 __all__ = [
+    "GRID_T",
     "SimulationSpec",
     "SimulatedDataset",
     "true_gamma",
     "simulate_response",
     "make_dataset",
 ]
+
+# Integer observation grid of every simulated covariate curve; the cubic
+# (order 4) B-spline basis spans it.
+GRID_T = np.arange(101.0)
+GRID_T.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -32,17 +38,13 @@ class SimulationSpec:
     sigma2_true: float = 1.0
     lattice_rows: int = 11
     lattice_cols: int = 11
-    grid_t: np.ndarray = field(default_factory=lambda: np.arange(101.0))
     noise_sd: float = 1.0
     n_basis: int = 7
-    order: int = 4
     seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.rho_true < 1:
             raise ValueError("rho_true must be in [0, 1)")
-        if np.any(np.diff(self.grid_t) <= 0):
-            raise ValueError("grid_t must be increasing")
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class SimulatedDataset:
     sample: FunctionalSample
     true_theta: Theta
     true_gamma_coef: np.ndarray  # B-spline coefficients of projected gamma
-    raw_curves: np.ndarray | None = None  # n x len(grid_t), before smoothing
+    raw_curves: np.ndarray | None = None  # n x len(GRID_T), before smoothing
 
 
 def true_gamma(t):
@@ -104,13 +106,11 @@ def make_dataset(spec: SimulationSpec, w: SpatialWeights | None = None) -> Simul
     lattice; a given W replaces the lattice and sets the unit count.
     """
     if w is None:
-        w = row_standardize(grid_contiguity(spec.lattice_rows, spec.lattice_cols, "rook"))
-    basis = build_bspline_basis(
-        spec.grid_t[0], spec.grid_t[-1], spec.n_basis, spec.order
-    )
+        w = row_standardize(grid_contiguity(spec.lattice_rows, spec.lattice_cols))
+    basis = build_bspline_basis(GRID_T[0], GRID_T[-1], spec.n_basis, 4)
     # raw covariate curves: cos(t) + sin(t) plus white noise, one per unit
     rng = np.random.default_rng(spec.seed)
-    t = spec.grid_t
+    t = GRID_T
     signal = np.cos(t) + np.sin(t)
     raw = signal[None, :] + spec.noise_sd * rng.standard_normal((w.n, t.size))
     dataset = simulate_response(
@@ -119,6 +119,6 @@ def make_dataset(spec: SimulationSpec, w: SpatialWeights | None = None) -> Simul
         rho=spec.rho_true,
         sigma2=spec.sigma2_true,
         seed=spec.seed + 1,
-        t_grid=spec.grid_t,
+        t_grid=GRID_T,
     )
     return replace(dataset, raw_curves=raw)

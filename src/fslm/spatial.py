@@ -101,28 +101,18 @@ def weights_from_edges(n: int, edges) -> SpatialWeights:
     return SpatialWeights(n=n, entries=w, row_standardized=False)
 
 
-def grid_contiguity(rows: int, cols: int, scheme: str = "rook") -> SpatialWeights:
-    """Binary contiguity of a rows x cols lattice (rook: 4-neighborhood,
-    queen: 8-neighborhood)."""
+def grid_contiguity(rows: int, cols: int) -> SpatialWeights:
+    """Binary rook (4-neighborhood) contiguity of a rows x cols lattice."""
     if rows < 1 or cols < 1:
         raise ValueError("lattice dimensions must be positive")
-    if scheme not in ("rook", "queen"):
-        raise ValueError("scheme must be 'rook' or 'queen'")
-    if scheme == "rook":
-        offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    else:
-        offsets = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
-                   if (dr, dc) != (0, 0)]
     edges = []
     for r in range(rows):
         for c in range(cols):
             i = r * cols + c
-            for dr, dc in offsets:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < rows and 0 <= cc < cols:
-                    j = rr * cols + cc
-                    if i < j:
-                        edges.append((i, j))
+            if r + 1 < rows:
+                edges.append((i, i + cols))
+            if c + 1 < cols:
+                edges.append((i, i + 1))
     return weights_from_edges(rows * cols, edges)
 
 

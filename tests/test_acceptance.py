@@ -5,7 +5,6 @@ per-criterion report."""
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -162,10 +161,7 @@ def test_criterion_3_parameter_recovery():
 
     def run_cell(cell):
         rho, method = cell
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(
-                pool.map(lambda r: _recover_one(rho, r, method), range(reps))
-            )
+        results = [_recover_one(rho, r, method) for r in range(reps)]
         return np.median([r[0] for r in results]), np.median([r[1] for r in results])
 
     for rho, method in tasks:
@@ -186,8 +182,7 @@ def test_criterion_4_acceptance_rate_control():
         chain = run_mwg(ds.data, prior, cfg)
         return float(chain.accepted[2_000:].mean())
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        ars = list(pool.map(one, range(50)))
+    ars = [one(seed) for seed in range(50)]
     in_band = sum(0.40 <= ar <= 0.60 for ar in ars)
     report(
         "4 acceptance-rate control",

@@ -320,6 +320,36 @@ def test_simulate_edge_out_of_range_exits_2(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["i,j\n0,1\n2\n", ""], ids=["short-row", "empty"])
+def test_simulate_malformed_edges_exit_2(tmp_path, capsys, text):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(text)
+    code = run(["simulate", "--edges", edges, "--out", tmp_path / "o"])
+    assert code == 2
+    assert str(edges) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_header_only_edges_give_unlinked_units(tmp_path):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("i,j\n")
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="zero-neighbor"):
+        code = run(["simulate", "--edges", edges, "--n-units", "10", "--out", out])
+    assert code == 0
+    assert (out / "weights.csv").read_bytes() == b"i,j,w\r\n"
+
+
+def test_simulate_headerless_edges_match_headed(tmp_path):
+    pairs = "".join(f"{i},{i + 1}\n" for i in range(8))
+    (tmp_path / "headed.csv").write_text("i,j\n" + pairs)
+    (tmp_path / "bare.csv").write_text(pairs)
+    for name in ("headed", "bare"):
+        assert run(["simulate", "--edges", tmp_path / f"{name}.csv", "--seed", "2",
+                    "--out", tmp_path / name]) == 0
+    assert hash_dir(tmp_path / "headed") == hash_dir(tmp_path / "bare")
+
+
 def test_simulate_zero_units_is_not_ignored(tmp_path):
     edges = tmp_path / "edges.csv"
     edges.write_text("i,j\n" + "".join(f"{i},{i + 1}\n" for i in range(9)))

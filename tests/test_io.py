@@ -1,0 +1,45 @@
+import csv
+import io
+
+import numpy as np
+
+from fslm import io as fio
+
+
+def reference_cell(v):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (np.bool_, np.integer)):
+        return int(v)
+    return fio.fmt(v)
+
+
+def reference_csv(header, *columns):
+    """The table as a csv.writer loop over fio.fmt-formatted floats writes it."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([reference_cell(v) for v in row])
+    return out.getvalue().encode()
+
+
+def test_write_table_matches_csv_writer_on_every_column_kind(tmp_path):
+    columns = (
+        np.array([0, -3, 2**40]),
+        np.array([True, False, True]),
+        np.array([-0.0, np.nan, 1e-300]),
+        np.array([0.1, -np.inf, 1 / 3]),
+        np.array(["ml", "normal-kernel", "x"]),
+    )
+    header = ["int", "bool", "float", "more", "name"]
+    fio.write_table(tmp_path / "t.csv", header, *columns)
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, *columns)
+    assert (tmp_path / "t.csv").read_bytes().splitlines()[1] == b"0,1,-0,0.10000000000000001,ml"
+
+
+def test_write_table_zero_rows_writes_the_header(tmp_path):
+    fio.write_table(tmp_path / "t.csv", ["i", "j", "w"],
+                    np.array([], dtype=int), np.array([], dtype=int), np.array([]))
+    assert (tmp_path / "t.csv").read_bytes() == b"i,j,w\r\n"
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(["i", "j", "w"], [], [], [])

@@ -10,6 +10,7 @@ from fslm import (
     simulate_response,
     true_gamma,
 )
+from fslm.simgen import GRID_T
 
 
 def test_true_gamma_values():
@@ -28,8 +29,8 @@ def test_covariates_deterministic_signal():
 def test_covariates_clt_mean():
     spec = SimulationSpec(lattice_rows=20, lattice_cols=25, seed=2)  # n = 500
     raw = make_dataset(spec).raw_curves
-    assert raw.shape == (500, spec.grid_t.size)
-    signal = np.cos(spec.grid_t) + np.sin(spec.grid_t)
+    assert raw.shape == (500, GRID_T.size)
+    signal = np.cos(GRID_T) + np.sin(GRID_T)
     band = 3 * spec.noise_sd / np.sqrt(500)
     assert np.abs(raw.mean(axis=0) - signal).max() < band * 2.5
 
@@ -117,5 +118,3 @@ def test_gamma_projection_reconstruction_error():
 def test_invalid_spec():
     with pytest.raises(ValueError):
         SimulationSpec(rho_true=1.0)
-    with pytest.raises(ValueError):
-        SimulationSpec(grid_t=np.array([0.0, 0.0, 1.0]))

@@ -42,17 +42,12 @@ def test_edge_errors():
 
 def test_grid_trivial_and_rook():
     assert np.all(grid_contiguity(1, 1).entries == 0)
-    w = grid_contiguity(2, 2, "rook")
+    w = grid_contiguity(2, 2)
     assert np.array_equal(w.entries.sum(axis=1), [2, 2, 2, 2])
 
 
-def test_grid_queen_corner():
-    w = grid_contiguity(2, 2, "queen")
-    assert np.all(w.entries.sum(axis=1) == 3)
-
-
 def test_lattice_link_count():
-    w = grid_contiguity(11, 11, "rook")
+    w = grid_contiguity(11, 11)
     assert w.n == 121
     assert w.entries.sum() == 440  # 2 * (11*10*2) directed links
 
@@ -60,8 +55,6 @@ def test_lattice_link_count():
 def test_grid_errors():
     with pytest.raises(ValueError):
         grid_contiguity(0, 5)
-    with pytest.raises(ValueError):
-        grid_contiguity(2, 2, "bishop")
 
 
 def test_row_standardize():
