@@ -44,7 +44,6 @@ from .spatial import (
     log_det_A,
     morans_i,
     row_standardize,
-    stability_interval,
     weights_from_edges,
 )
 

@@ -117,8 +117,6 @@ def _check_unit_count(n: int, basis_count: int) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if not 0 <= args.rho < 1:
-        raise ValueError("--rho must be in [0, 1)")
     if args.edges is not None:
         edges = fio.read_edges_csv(args.edges)
         n = 1 + max(max(e) for e in edges) if args.n_units is None else args.n_units
@@ -216,21 +214,22 @@ def _write_trace_svg(path, chain) -> None:
 
 
 def cmd_table1(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
-    for rho in args.rho_list:
-        if not 0 <= rho < 1:
-            raise ValueError(f"rho {rho} outside [0, 1)")
     if args.replicates < 1:
         raise ValueError("--replicates must be at least 1")
     rows_lat, cols_lat = args.grid
     _check_unit_count(rows_lat * cols_lat, args.basis_count)
+    w = row_standardize(grid_contiguity(rows_lat, cols_lat))
+    for rho in args.rho_list:
+        if not 0 <= rho < w.rho_max:
+            raise ValueError(f"rho {rho} outside W's domain [0, {w.rho_max:.6g})")
+    args.out.mkdir(parents=True, exist_ok=True)
 
     def one_replicate(rho: float, rep: int) -> dict:
         spec = SimulationSpec(
             rho_true=rho, lattice_rows=rows_lat, lattice_cols=cols_lat,
             n_basis=args.basis_count, seed=args.seed + 1000 * rep + int(rho * 1e6),
         )
-        data = make_dataset(spec).data
+        data = make_dataset(spec, w).data
         return {method: _fit_one(method, data, args)[0] for method in METHODS}
 
     by_key = {}

@@ -62,13 +62,13 @@ def write_curves_csv(path, t_grid: np.ndarray, obs: np.ndarray) -> None:
     write_table(path, header, np.arange(len(obs)), *np.asarray(obs, dtype=float).T)
 
 
-def _read_table(path, width: int | None = None,
-                optional_header: list[str] | None = None) -> tuple[list[str], np.ndarray]:
+def _read_table(path, names: list[str] | None = None,
+                optional_header: bool = False) -> tuple[list[str], np.ndarray]:
     """A CSV file's header fields and its rows of floats, each as wide as
-    the header unless width is given; a ValueError naming the file when
-    the file is empty or a row does not parse or is of another width.
-    With optional_header, a first line other than it is a row, not a
-    header, and the header returned is optional_header."""
+    the header; a ValueError naming the file when the file is empty, the
+    header is not names (when given), or a row does not parse or is of
+    another width.  With optional_header, a first line other than names
+    is a row, not a header, and the header returned is names."""
     with open(path, newline="") as f, warnings.catch_warnings():
         # a header-only file is a table without rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -76,14 +76,16 @@ def _read_table(path, width: int | None = None,
         if not first:
             raise ValueError(f"{path}: file is empty")
         header = first.rstrip("\r\n").split(",")
-        if optional_header is not None and header != optional_header:
-            header = optional_header
+        if names is not None and header != names:
+            if not optional_header:
+                raise ValueError(f"{path}: header must be {','.join(names)}")
+            header = names
             f.seek(0)
         try:
             rows = np.loadtxt(f, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    width = width or len(header)
+    width = len(header)
     if rows.size and rows.shape[1] != width:
         raise ValueError(f"{path}: rows must hold {width} values")
     return header, rows.reshape(-1, width)
@@ -99,7 +101,14 @@ def _by_id(rows: np.ndarray, path) -> np.ndarray:
 
 def read_curves_csv(path):
     header, rows = _read_table(path)
-    t_grid = np.array([float(h.removeprefix("t=")) for h in header[1:]])
+    try:
+        if header[0] != "id" or len(header) < 2:
+            raise ValueError
+        t_grid = np.array([float(h[2:]) for h in header[1:] if h.startswith("t=")])
+        if t_grid.size < len(header) - 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{path}: header must be id,t=<t0>,t=<t1>,...") from None
     return t_grid, np.ascontiguousarray(_by_id(rows, path)[:, 1:])
 
 
@@ -108,7 +117,7 @@ def write_response_csv(path, y: np.ndarray) -> None:
 
 
 def read_response_csv(path) -> np.ndarray:
-    return np.ascontiguousarray(_by_id(_read_table(path, 2)[1], path)[:, 1])
+    return np.ascontiguousarray(_by_id(_read_table(path, ["id", "y"])[1], path)[:, 1])
 
 
 def write_weights_csv(path, w: SpatialWeights) -> None:
@@ -118,7 +127,7 @@ def write_weights_csv(path, w: SpatialWeights) -> None:
 
 
 def read_weights_csv(path, n: int | None = None) -> SpatialWeights:
-    rows = _read_table(path, 3)[1]
+    rows = _read_table(path, ["i", "j", "w"])[1]
     ij = rows[:, :2].astype(int)
     if n is None:
         n = 1 + int(ij.max(initial=-1))
@@ -135,7 +144,7 @@ def read_weights_csv(path, n: int | None = None) -> SpatialWeights:
 
 def read_edges_csv(path) -> list[tuple[int, int]]:
     """Two zero-based integer columns `i,j`, under an optional `i,j` header."""
-    rows = _read_table(path, optional_header=["i", "j"])[1]
+    rows = _read_table(path, ["i", "j"], optional_header=True)[1]
     edges = rows.astype(int)
     if np.any(edges != rows):
         raise ValueError(f"{path}: edges must be pairs of integers")

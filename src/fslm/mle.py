@@ -8,8 +8,9 @@ optimum.  The concentrated log-likelihood
 
     l_c(rho) = const - (n/2) ln sigma2_hat(rho) + ln|I - rho W|
 
-is maximized by golden-section search.  Standard errors come from the
-analytic observed information (Anselin 1988, Spatial Econometrics, ch. 6).
+is maximized by golden-section search over W's domain [0, W.rho_max),
+capped at 0.999.  Standard errors come from the analytic observed
+information (Anselin 1988, Spatial Econometrics, ch. 6).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FslmData, Theta, _gram_form, bic, log_likelihood
-from .spatial import log_det_A, stability_interval
+from .spatial import log_det_A
 
 __all__ = ["MlEstimate", "fit_ml", "concentrated_loglik"]
 
@@ -76,15 +77,14 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
 
 
 def fit_ml(data: FslmData) -> MlEstimate:
-    """Maximize the concentrated likelihood over [0, 0.999], clipped to
-    W's stability interval."""
+    """Maximize the concentrated likelihood over [0, min(0.999, W.rho_max))."""
     s = np.linalg.svd(data.z, compute_uv=False)
     # with n < k the SVD sees only n singular values, all of which can be large
     if data.n < data.k or s[-1] < 1e-10 * s[0]:
         raise np.linalg.LinAlgError("design matrix Z is rank deficient")
 
-    # l_c falls to -inf at 1/lambda_max, so a margin keeps the end finite
-    hi = min(0.999, stability_interval(data.w)[1] * (1 - 1e-9))
+    # l_c can fall to -inf at rho_max, so a margin keeps the end finite
+    hi = min(0.999, data.w.rho_max * (1 - 1e-9))
     grid = np.linspace(0.0, hi, 200)
     vals = np.array([concentrated_loglik(r, data) for r in grid])
     # unimodality scan: a single sign change in the discrete slope expected

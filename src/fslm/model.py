@@ -12,6 +12,8 @@ eigenvalues (spatial.log_det_A).  Conditionals:
   beta   | sigma2, rho ~  N(mu, V) with precision G[2:, 2:]/sigma2 + Sigma^{-1}
   rho    | beta, sigma2   has no standard form (the |A| term), handled by
                           a Metropolis step in the sampler.
+
+rho's prior is flat on W's domain [0, W.rho_max), where det(A) > 0.
 """
 
 from __future__ import annotations
@@ -85,21 +87,19 @@ class FslmData:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Normal prior on beta, inverse-gamma on sigma2, uniform on rho."""
+    """Normal prior on beta, inverse-gamma on sigma2; rho's flat prior
+    lives on W's domain, so it has no parameter here."""
 
     m: np.ndarray
     sigma_beta: np.ndarray
     a: float = 0.001
     b: float = 0.001
-    rho_support: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "m", read_only(self.m))
         object.__setattr__(self, "sigma_beta", read_only(self.sigma_beta))
         if self.a <= 0 or self.b <= 0:
             raise ValueError("a and b must be positive")
-        if self.rho_support[0] >= self.rho_support[1]:
-            raise ValueError("rho_support must be an increasing pair")
         np.linalg.cholesky(self.sigma_beta)  # raises if not SPD
 
     @classmethod
@@ -179,21 +179,13 @@ def beta_conditional_params(
     return mean, cov
 
 
-def rho_log_conditional(
-    rho: float,
-    beta: np.ndarray,
-    sigma2: float,
-    data: FslmData,
-    prior: PriorSpec,
-) -> float:
-    """Unnormalized log full conditional of rho (flat prior on its support).
+def rho_log_conditional(rho: float, beta: np.ndarray, sigma2: float, data: FslmData) -> float:
+    """Unnormalized log full conditional of rho (flat prior on its domain).
 
-    Returns -inf outside the support and wherever det(I - rho*W) is not
-    positive: the density vanishes at the ends of W's stability interval,
-    such as rho = 1 for a row-standardized W.
+    Returns -inf outside [0, W.rho_max), and where I - rho*W is singular
+    to rounding.
     """
-    lo, hi = prior.rho_support
-    if rho < lo or rho > hi:
+    if not 0.0 <= rho < data.w.rho_max:
         return -np.inf
     try:
         return _log_kernel(beta, sigma2, rho, data)

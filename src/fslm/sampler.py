@@ -6,7 +6,9 @@ Metropolis step (normal or uniform kernel).  The step scale c is
 adapted toward ACCEPTANCE_BAND after each block of
 min(100, burn_in // 10) iterations (at least one) of the burn-in, so
 every burn-in adapts it ten times or more, and frozen afterwards so the
-post-burn-in chain has a fixed kernel.
+post-burn-in chain has a fixed kernel.  A proposal outside W's domain
+[0, W.rho_max) has zero density and is never accepted, so the chain
+stays on the domain it starts in.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .model import (
     rho_log_conditional,
     sigma2_conditional_params,
 )
-from .spatial import EIG_RTOL, stability_interval
 
 __all__ = [
     "MhConfig",
@@ -65,7 +66,7 @@ class Chain:
     draws_sigma2: np.ndarray   # n_iter
     draws_rho: np.ndarray      # n_iter
     accepted: np.ndarray       # n_iter bool
-    tuning_trace: np.ndarray   # c value per adaptation block
+    tuning_trace: np.ndarray   # c after each burn-in block
 
     def __len__(self) -> int:
         return self.draws_rho.shape[0]
@@ -117,31 +118,18 @@ def adapt_tuning(c: float, block_acceptance: float) -> float:
     return c
 
 
-def default_init(data: FslmData, prior: PriorSpec) -> Theta:
-    """OLS of y on Z for beta and sigma2; rho at the support midpoint."""
-    beta, *_ = np.linalg.lstsq(data.z, data.y, rcond=None)
-    resid = data.y - data.z @ beta
+def default_init(data: FslmData) -> Theta:
+    """OLS of y on Z for beta and sigma2; rho at the middle of W's domain."""
+    ols, resid = data.ols_pair
     dof = max(data.n - data.k, 1)
-    sigma2 = max(float(resid @ resid) / dof, 1e-12)
-    rho = 0.5 * (prior.rho_support[0] + prior.rho_support[1])
-    return Theta(beta=beta, sigma2=sigma2, rho=rho)
+    sigma2 = max(float(resid[:, 0] @ resid[:, 0]) / dof, 1e-12)
+    return Theta(beta=ols[:, 0], sigma2=sigma2, rho=0.5 * data.w.rho_max)
 
 
 def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
-    """Run the Metropolis-within-Gibbs chain; fully determined by the seed.
-
-    Raises ValueError before any draw when the prior's rho support
-    reaches outside W's stability interval, where det(I - rho*W) <= 0.
-    """
-    lo, hi = prior.rho_support
-    stable_lo, stable_hi = stability_interval(data.w)
-    if lo < stable_lo * (1 + EIG_RTOL) or hi > stable_hi * (1 + EIG_RTOL):
-        raise ValueError(
-            f"prior rho support ({lo}, {hi}) reaches outside W's stability "
-            f"interval ({stable_lo:.6g}, {stable_hi:.6g})"
-        )
+    """Run the Metropolis-within-Gibbs chain; fully determined by the seed."""
     rng = np.random.default_rng(config.seed)
-    theta = default_init(data, prior)
+    theta = default_init(data)
 
     k = data.k
     draws_beta = np.empty((config.n_iter, k))
@@ -163,11 +151,11 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         sigma2 = scale / rng.gamma(shape)
 
         # beta and sigma2 changed, so the current rho's conditional is recomputed
-        log_cond_old = rho_log_conditional(rho, beta, sigma2, data, prior)
+        log_cond_old = rho_log_conditional(rho, beta, sigma2, data)
 
         rho_new = propose_rho(rho, c, config.kernel, rng)
-        # -inf off the support, so such a proposal is never accepted
-        log_cond_new = rho_log_conditional(rho_new, beta, sigma2, data, prior)
+        # -inf off W's domain, so such a proposal is never accepted
+        log_cond_new = rho_log_conditional(rho_new, beta, sigma2, data)
         accept = np.log(rng.uniform()) < min(log_cond_new - log_cond_old, 0.0)
         if accept:
             rho = rho_new
@@ -178,8 +166,8 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         draws_rho[j] = rho
         accepted[j] = accept
 
-        if (j + 1) % block == 0:
-            if config.adapt and j < config.burn_in:
+        if j < config.burn_in and (j + 1) % block == 0:
+            if config.adapt:
                 c = adapt_tuning(c, block_accepts / block)
             tuning_trace.append(c)
             block_accepts = 0

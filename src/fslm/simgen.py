@@ -42,10 +42,6 @@ class SimulationSpec:
     n_basis: int = 7
     seed: int = 0
 
-    def __post_init__(self):
-        if not 0 <= self.rho_true < 1:
-            raise ValueError("rho_true must be in [0, 1)")
-
 
 @dataclass(frozen=True)
 class SimulatedDataset:
@@ -77,7 +73,10 @@ def simulate_response(
     seed: int,
     t_grid: np.ndarray | None = None,
 ) -> SimulatedDataset:
-    """Solve (I - rho*W) y = Z beta + eps for the response vector."""
+    """Solve (I - rho*W) y = Z beta + eps for the response vector; a
+    ValueError when rho lies outside W's domain [0, W.rho_max)."""
+    if not 0 <= rho < w.rho_max:
+        raise ValueError(f"rho {rho} outside W's domain [0, {w.rho_max:.6g})")
     basis = sample.basis
     if t_grid is None:
         t_grid = np.linspace(basis.domain_start, basis.domain_end, 1001)

@@ -2,7 +2,8 @@
 
 The log-determinant uses Ord's (1975) identity
 ln|I - rho*W| = sum_i ln(1 - rho*lambda_i) over the eigenvalues of W,
-which each SpatialWeights computes once.
+which each SpatialWeights computes once.  They also set rho's domain
+[0, rho_max), on which det(I - rho*W) > 0 (LeSage & Pace 2009, ch. 4).
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ __all__ = [
     "grid_contiguity",
     "row_standardize",
     "log_det_A",
-    "stability_interval",
     "morans_i",
 ]
 
-# Relative size below which an eigenvalue's imaginary part, a factor
-# 1 - rho*lambda, or an overshoot of the stability interval is rounding.
+# Relative size below which an eigenvalue's imaginary part or a factor
+# 1 - rho*lambda is rounding.
 EIG_RTOL = 1e-12
 
 
@@ -78,6 +78,16 @@ class SpatialWeights:
         if np.all(np.abs(lam.imag) <= EIG_RTOL * max(1.0, np.abs(lam).max())):
             return lam.real
         return lam
+
+    @cached_property
+    def rho_max(self) -> float:
+        """Upper end of rho's domain [0, rho_max): min(1, 1/lambda_max) over
+        W's real eigenvalues, or 1 when none is positive.  A row-standardized
+        W has lambda_max = 1, so its rho_max is 1 up to rounding."""
+        lam = self.eigenvalues
+        real = lam if np.isrealobj(lam) else lam[lam.imag == 0].real
+        hi = real.max(initial=0.0)
+        return min(1.0, 1.0 / float(hi)) if hi > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -141,16 +151,6 @@ def log_det_A(w: SpatialWeights, rho: float) -> float:
     if np.count_nonzero(real < 0) % 2:
         raise np.linalg.LinAlgError(f"det(I - rho*W) not positive at rho={rho}")
     return float(np.sum(np.log(size)))
-
-
-def stability_interval(w: SpatialWeights) -> tuple[float, float]:
-    """(1/lambda_min, 1/lambda_max) over W's real eigenvalues: the rho
-    around 0 for which I - rho*W is nonsingular with det > 0.  An end
-    is infinite when W has no real eigenvalue of that sign."""
-    lam = w.eigenvalues
-    real = lam if np.isrealobj(lam) else lam[lam.imag == 0].real
-    lo, hi = real.min(initial=0.0), real.max(initial=0.0)
-    return (1.0 / lo if lo < 0 else -np.inf, 1.0 / hi if hi > 0 else np.inf)
 
 
 def morans_i(

@@ -7,7 +7,7 @@ import pytest
 
 from fslm.cli import main
 from fslm import io as fio
-from fslm import row_standardize, weights_from_edges
+from fslm import grid_contiguity, row_standardize, weights_from_edges
 
 
 def run(argv):
@@ -106,8 +106,8 @@ def test_fit_adapts_at_least_ten_times_in_burn_in(bundle, tmp_path, monkeypatch,
                         or chains[-1])
     assert run(["fit", "--data", bundle, "--method", "normal-kernel",
                 "--n-iter", burn_in + 10, "--burn-in", burn_in, "--out", tmp_path]) == 0
-    # one tuning_trace entry per block
-    assert len(chains[0].tuning_trace) == (burn_in + 10) // block
+    # one tuning_trace entry per burn-in block
+    assert len(chains[0].tuning_trace) == burn_in // block
 
 
 def test_fit_svg_traces(bundle, tmp_path):
@@ -158,6 +158,20 @@ def test_table1_repeated_rho_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     assert "repeat" in capsys.readouterr().err
     assert not (tmp_path / "x" / "table1.csv").exists()
+
+
+def test_table1_rho_outside_domain_exits_2_before_any_fit(tmp_path, monkeypatch, capsys):
+    import fslm.cli
+
+    def no_fit(*args):
+        raise AssertionError("a fit was run")
+
+    monkeypatch.setattr(fslm.cli, "fit_ml", no_fit)
+    monkeypatch.setattr(fslm.cli, "run_mwg", no_fit)
+    assert run(["table1", "--rho-list", "0.3,1.2", "--grid", "4x4",
+                "--out", tmp_path / "x"]) == 2
+    assert "domain" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_moran_cli_path_graph(tmp_path, capsys):
@@ -432,3 +446,54 @@ def test_response_csv_trailing_blank_line_is_read(tmp_path, capsys):
 def test_malformed_bundle_csv_exits_2(tmp_path, capsys, response, weights, bad_file):
     assert run(write_moran_inputs(tmp_path, response, weights)) == 2
     assert bad_file in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("response, weights, bad_file", [
+    ("0,1\n1,5\n2,2\n", "i,j,w\n" + PATH3, "resp.csv"),
+    ("id,y\n" + "0,1\n1,5\n2,2\n", PATH3, "w.csv"),
+    ("y,id\n" + "0,1\n1,5\n2,2\n", "i,j,w\n" + PATH3, "resp.csv"),
+], ids=["headerless-response", "headerless-weights", "swapped-response-header"])
+def test_bundle_csv_without_its_header_exits_2(tmp_path, capsys, response, weights, bad_file):
+    (tmp_path / "resp.csv").write_text(response)
+    (tmp_path / "w.csv").write_text(weights)
+    assert run(["moran", "--response", tmp_path / "resp.csv",
+                "--weights", tmp_path / "w.csv"]) == 2
+    err = capsys.readouterr().err
+    assert bad_file in err and "header" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: "",
+    lambda header: header.replace("id,", "unit,", 1),
+    lambda header: header.replace(",t=1,", ",x=1,", 1),
+], ids=["headerless", "unit-column", "x-field"])
+def test_curves_csv_without_its_header_exits_2(bundle, tmp_path, capsys, edit):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("response.csv", "weights.csv"):
+        (data / name).write_bytes((bundle / name).read_bytes())
+    header, rows = (bundle / "curves.csv").read_text().split("\n", 1)
+    (data / "curves.csv").write_text(edit(header + "\n") + rows)
+    assert run(["fit", "--data", data, "--method", "ml", "--out", tmp_path / "fit"]) == 2
+    err = capsys.readouterr().err
+    assert "curves.csv" in err and "header" in err
+
+
+def test_fit_all_on_binary_rook_weights_stays_in_domain(tmp_path):
+    # the bundle's weights replaced by the unstandardized rook lattice,
+    # whose rho domain is [0, 1/(4 cos(pi/12)))
+    data = tmp_path / "rook"
+    assert run(["simulate", "--seed", "3", "--out", data]) == 0
+    w = grid_contiguity(11, 11)
+    fio.write_weights_csv(data / "weights.csv", w)
+    assert run(["fit", "--data", data, "--method", "ml", "--out", tmp_path / "ml"]) == 0
+    assert run(["fit", "--data", data, "--method", "all", "--n-iter", "600",
+                "--burn-in", "200", "--out", tmp_path / "all"]) == 0
+    rho_max = 1.0 / (4.0 * np.cos(np.pi / 12))
+    for kernel in ("normal", "uniform"):
+        path = tmp_path / "all" / f"trace_{kernel}-kernel.csv"
+        rho = np.loadtxt(path, delimiter=",", skiprows=1)[:, -2]
+        assert np.all((rho >= 0) & (rho < rho_max))
+    ml_only = json.loads((tmp_path / "ml" / "report.json").read_text())["ml"]
+    both = json.loads((tmp_path / "all" / "report.json").read_text())["ml"]
+    assert json.dumps(both) == json.dumps(ml_only)

@@ -10,7 +10,6 @@ from fslm import (
     log_likelihood,
     make_dataset,
     row_standardize,
-    stability_interval,
     weights_from_edges,
 )
 from fslm.mle import concentrated_loglik
@@ -148,5 +147,5 @@ def test_search_stays_inside_stability_interval_of_binary_weights():
     w = grid_contiguity(11, 11)
     ds = make_dataset(SimulationSpec(rho_true=0.15, seed=8), w)
     est = fit_ml(ds.data)
-    assert 0.0 <= est.theta.rho < stability_interval(w)[1] < 0.2589
+    assert 0.0 <= est.theta.rho < w.rho_max < 0.2589
     assert est.theta.rho == pytest.approx(0.15, abs=0.05)

@@ -16,7 +16,6 @@ from fslm import (
     rho_log_conditional,
     row_standardize,
     sigma2_conditional_params,
-    stability_interval,
     weights_from_edges,
 )
 from fslm.mle import _observed_info_std
@@ -153,26 +152,23 @@ def test_beta_conditional_cov_spd():
 
 def test_rho_conditional_constant_when_w_zero():
     data = make_data(edges=[], seed=8)
-    prior = PriorSpec.diffuse(2)
     beta = np.array([0.1, 0.2])
-    vals = [rho_log_conditional(r, beta, 1.0, data, prior) for r in (0.0, 0.3, 0.9)]
+    vals = [rho_log_conditional(r, beta, 1.0, data) for r in (0.0, 0.3, 0.9)]
     assert np.ptp(vals) < 1e-12
 
 
 def test_rho_conditional_outside_support():
     data = make_data()
-    prior = PriorSpec.diffuse(2)
-    assert rho_log_conditional(1.5, np.zeros(2), 1.0, data, prior) == -np.inf
-    assert rho_log_conditional(-0.1, np.zeros(2), 1.0, data, prior) == -np.inf
+    assert rho_log_conditional(1.5, np.zeros(2), 1.0, data) == -np.inf
+    assert rho_log_conditional(-0.1, np.zeros(2), 1.0, data) == -np.inf
 
 
 def test_rho_conditional_matches_loglik_at_zero():
     data = make_data(seed=9)
-    prior = PriorSpec.diffuse(2)
     beta, sigma2 = np.array([0.3, -0.7]), 1.3
     const = -0.5 * data.n * np.log(2 * np.pi * sigma2)
     ll = log_likelihood(Theta(beta=beta, sigma2=sigma2, rho=0.0), data)
-    assert rho_log_conditional(0.0, beta, sigma2, data, prior) == pytest.approx(
+    assert rho_log_conditional(0.0, beta, sigma2, data) == pytest.approx(
         ll - const, abs=1e-10
     )
 
@@ -185,11 +181,10 @@ def test_rho_conditional_differences_match_loglik():
     data = FslmData(
         y=rng.standard_normal(9), z=rng.standard_normal((9, 2)), w=w
     )
-    prior = PriorSpec.diffuse(2)
     beta, sigma2 = rng.standard_normal(2), 0.8
     for r1, r2 in [(0.1, 0.6), (0.0, 0.9), (0.25, 0.3)]:
-        d_cond = rho_log_conditional(r1, beta, sigma2, data, prior) - rho_log_conditional(
-            r2, beta, sigma2, data, prior
+        d_cond = rho_log_conditional(r1, beta, sigma2, data) - rho_log_conditional(
+            r2, beta, sigma2, data
         )
         d_ll = log_likelihood(
             Theta(beta=beta, sigma2=sigma2, rho=r1), data
@@ -203,10 +198,9 @@ def test_rho_conditional_normalizes_to_one():
     rng = np.random.default_rng(11)
     w = row_standardize(grid_contiguity(3, 3))
     data = FslmData(y=rng.standard_normal(9), z=rng.standard_normal((9, 2)), w=w)
-    prior = PriorSpec.diffuse(2)
     beta, sigma2 = rng.standard_normal(2), 1.0
     grid = np.linspace(0, 1, 10_001)
-    logs = np.array([rho_log_conditional(r, beta, sigma2, data, prior) for r in grid])
+    logs = np.array([rho_log_conditional(r, beta, sigma2, data) for r in grid])
     dens = np.exp(logs - logs.max())
     dens /= np.trapezoid(dens, grid)
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
@@ -316,13 +310,13 @@ def test_prior_precision_cached():
 
 def test_rho_conditional_vanishes_where_singular():
     # W = [[0, 1], [1, 0]] makes I - W singular and det(I - rho W) < 0
-    # for rho > 1
+    # for rho > 1; just below 1 the factor 1 - rho is rounding
     data = make_data(n=2, k=1, seed=14)
-    prior = PriorSpec(m=np.zeros(1), sigma_beta=np.eye(1), rho_support=(-2.0, 2.0))
     beta = np.zeros(1)
-    for rho in (1.0, 1.5):
-        assert rho_log_conditional(rho, beta, 1.0, data, prior) == -np.inf
-    assert np.isfinite(rho_log_conditional(0.5, beta, 1.0, data, prior))
+    assert data.w.rho_max == 1.0
+    for rho in (1.0, 1.5, 1.0 - 1e-13):
+        assert rho_log_conditional(rho, beta, 1.0, data) == -np.inf
+    assert np.isfinite(rho_log_conditional(0.5, beta, 1.0, data))
 
 
 def vector_residual_oracle(beta, sigma2, rho, data, prior):
@@ -377,22 +371,25 @@ def test_gram_kernel_matches_vector_residual(seed, k, extra, density, standardiz
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # isolated units stay all-zero rows
             w = row_standardize(w)
-    lo, hi = stability_interval(w)
-    end = hi if u > 0 else -lo
-    rho = u * (end if np.isfinite(end) else 1.0)
+    # log_likelihood holds on (1/lambda_min, 1/lambda_max), negative rho
+    # included; rho_log_conditional only on [0, rho_max)
+    lam = w.eigenvalues
+    edge = lam.max(initial=0.0) if u > 0 else -lam.min(initial=0.0)
+    rho = u / edge if edge > 0 else u
+    rho_c = abs(u) * w.rho_max
     z = rng.standard_normal((n, k))
     y = 3.0 * rng.standard_normal(n)
     data = FslmData(y=y, z=z, w=w)
     beta = rng.standard_normal(k)
-    prior = PriorSpec(m=rng.standard_normal(k), rho_support=(-1e3, 1e3),
-                      sigma_beta=np.diag(rng.uniform(0.5, 5.0, k)))
+    prior = PriorSpec(m=rng.standard_normal(k), sigma_beta=np.diag(rng.uniform(0.5, 5.0, k)))
     want = vector_residual_oracle(beta, sigma2, rho, data, prior)
 
     theta = Theta(beta=beta, sigma2=sigma2, rho=rho)
     loglik = log_likelihood(theta, data)
     assert loglik == pytest.approx(want["loglik"], rel=1e-10, abs=1e-10)
-    assert rho_log_conditional(rho, beta, sigma2, data, prior) == pytest.approx(
-        want["rho_cond"], rel=1e-10, abs=1e-10)
+    assert rho_log_conditional(rho_c, beta, sigma2, data) == pytest.approx(
+        vector_residual_oracle(beta, sigma2, rho_c, data, prior)["rho_cond"],
+        rel=1e-10, abs=1e-10)
     shape, scale = sigma2_conditional_params(beta, rho, data, prior)
     assert shape == want["sigma2_params"][0]
     assert scale == pytest.approx(want["sigma2_params"][1], rel=1e-10)
@@ -420,4 +417,4 @@ def test_exact_fit_squared_residual_is_not_negative():
         data = FslmData(y=z @ beta, z=z, w=w)
         _, scale = sigma2_conditional_params(beta, 0.0, data, prior)
         assert scale >= prior.b
-        assert rho_log_conditional(0.0, beta, 1e-6, data, prior) <= 0.0
+        assert rho_log_conditional(0.0, beta, 1e-6, data) <= 0.0

@@ -48,41 +48,41 @@ def test_propose_rho_uniform_support():
     assert draws.min() >= 0.25 and draws.max() <= 0.75
 
 
-def log_accept(rho_new, rho_old, beta, sigma2, data, prior):
+def log_accept(rho_new, rho_old, beta, sigma2, data):
     """The Metropolis step's log acceptance probability in run_mwg."""
-    new = rho_log_conditional(rho_new, beta, sigma2, data, prior)
-    old = rho_log_conditional(rho_old, beta, sigma2, data, prior)
+    new = rho_log_conditional(rho_new, beta, sigma2, data)
+    old = rho_log_conditional(rho_old, beta, sigma2, data)
     return min(new - old, 0.0)
 
 
 def test_acceptance_identity_proposal(small_problem):
-    data, prior = small_problem
+    data, _ = small_problem
     beta = np.array([1.0, -0.5])
-    assert log_accept(0.4, 0.4, beta, 0.5, data, prior) == 0.0
+    assert log_accept(0.4, 0.4, beta, 0.5, data) == 0.0
 
 
 def test_acceptance_outside_support(small_problem):
-    data, prior = small_problem
+    data, _ = small_problem
     beta = np.array([1.0, -0.5])
-    assert log_accept(1.2, 0.4, beta, 0.5, data, prior) == -np.inf
-    assert log_accept(-0.2, 0.4, beta, 0.5, data, prior) == -np.inf
+    assert log_accept(1.2, 0.4, beta, 0.5, data) == -np.inf
+    assert log_accept(-0.2, 0.4, beta, 0.5, data) == -np.inf
 
 
 def test_acceptance_matches_normalized_density_ratio(small_problem):
-    data, prior = small_problem
+    data, _ = small_problem
     beta, sigma2 = np.array([1.0, -0.5]), 0.5
     grid = np.linspace(0, 1, 20_001)
-    logs = np.array([rho_log_conditional(r, beta, sigma2, data, prior) for r in grid])
+    logs = np.array([rho_log_conditional(r, beta, sigma2, data) for r in grid])
     dens = np.exp(logs - logs.max())
     dens /= np.trapezoid(dens, grid)
 
     def norm_dens(r):
         return np.exp(
-            rho_log_conditional(r, beta, sigma2, data, prior) - logs.max()
+            rho_log_conditional(r, beta, sigma2, data) - logs.max()
         ) / np.trapezoid(np.exp(logs - logs.max()), grid)
 
     for r_new, r_old in [(0.6, 0.3), (0.1, 0.8)]:
-        lp = log_accept(r_new, r_old, beta, sigma2, data, prior)
+        lp = log_accept(r_new, r_old, beta, sigma2, data)
         ratio = min(norm_dens(r_new) / norm_dens(r_old), 1.0)
         assert np.exp(lp) == pytest.approx(ratio, abs=1e-8)
 
@@ -123,13 +123,19 @@ def test_rejected_moves_keep_rho(small_problem):
     assert np.array_equal(chain.draws_rho[rejected], chain.draws_rho[rejected - 1])
 
 
-def test_adaptation_freeze(small_problem):
+def test_adaptation_freeze(small_problem, monkeypatch):
+    import fslm.sampler
+
+    steps = []
+    real = fslm.sampler.propose_rho
+    monkeypatch.setattr(fslm.sampler, "propose_rho",
+                        lambda rho, c, *args: steps.append(c) or real(rho, c, *args))
     data, prior = small_problem
     cfg = MhConfig(n_iter=3000, burn_in=1000, seed=5, adapt=True)
     chain = run_mwg(data, prior, cfg)
-    block = cfg.n_iter // len(chain.tuning_trace)
-    post = chain.tuning_trace[cfg.burn_in // block :]
-    assert np.all(post == post[0])
+    assert len(chain.tuning_trace) == 10  # one entry per burn-in block
+    # every post-burn-in proposal uses the last adapted step scale
+    assert np.all(np.array(steps[cfg.burn_in:]) == chain.tuning_trace[-1])
 
 
 def test_short_burn_in_adapts_ten_times(small_problem, monkeypatch):
@@ -141,7 +147,14 @@ def test_short_burn_in_adapts_ten_times(small_problem, monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     chain = run_mwg(*small_problem, MhConfig(n_iter=110, burn_in=100))
     assert len(calls) == 10
-    assert len(chain.tuning_trace) == 11  # ten adapted blocks, one frozen
+    assert len(chain.tuning_trace) == 10  # the ten adapted blocks
+
+
+def test_trace_holds_only_burn_in_blocks(small_problem):
+    chain = run_mwg(*small_problem, MhConfig(n_iter=2000, burn_in=0))
+    assert chain.tuning_trace.size == 0
+    chain = run_mwg(*small_problem, MhConfig(n_iter=2000, burn_in=5, adapt=False))
+    assert np.array_equal(chain.tuning_trace, np.full(5, 0.1))
 
 
 def test_invalid_config_and_init():
@@ -236,16 +249,6 @@ def lattice_data():
     a = np.eye(121) - 0.5 * w.entries
     y = np.linalg.solve(a, z @ np.array([1.0, -0.5]) + rng.standard_normal(121))
     return FslmData(y=y, z=z, w=w)
-
-
-def test_support_beyond_stability_interval_rejected(lattice_data, monkeypatch):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a draw was made")
-
-    monkeypatch.setattr("fslm.sampler.beta_conditional_params", no_draws)
-    prior = PriorSpec(m=np.zeros(2), sigma_beta=1e4 * np.eye(2), rho_support=(-1.5, 1.5))
-    with pytest.raises(ValueError, match="stability interval"):
-        run_mwg(lattice_data, prior, MhConfig(n_iter=10, burn_in=0))
 
 
 def test_default_support_accepted_on_lattice(lattice_data):

@@ -117,4 +117,16 @@ def test_gamma_projection_reconstruction_error():
 
 def test_invalid_spec():
     with pytest.raises(ValueError):
-        SimulationSpec(rho_true=1.0)
+        make_dataset(SimulationSpec(rho_true=1.0))
+
+
+def test_rho_outside_the_domain_of_the_given_weights_rejected():
+    # I - 0.5 W is singular for the binary rook lattice, whose domain
+    # ends at 1/(4 cos(pi/12)) = 0.2588
+    with pytest.raises(ValueError, match="domain"):
+        make_dataset(SimulationSpec(rho_true=0.5, seed=1), grid_contiguity(11, 11))
+    with pytest.raises(ValueError, match="domain"):
+        make_dataset(SimulationSpec(rho_true=-0.1, seed=1))
+    ds = make_dataset(SimulationSpec(rho_true=0.25, seed=1), grid_contiguity(11, 11))
+    with pytest.raises(ValueError, match="domain"):
+        simulate_response(ds.sample, grid_contiguity(11, 11), rho=0.5, sigma2=1.0, seed=2)

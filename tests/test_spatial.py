@@ -10,7 +10,6 @@ from fslm import (
     log_det_A,
     morans_i,
     row_standardize,
-    stability_interval,
     weights_from_edges,
 )
 from fslm.spatial import SpatialWeights
@@ -195,7 +194,7 @@ def test_log_det_directed_cycle_closed_form():
         assert log_det_A(w, rho) == pytest.approx(np.log(1 - rho**3), abs=1e-12)
     with pytest.raises(np.linalg.LinAlgError):
         log_det_A(w, 1.5)
-    assert stability_interval(w) == pytest.approx((-np.inf, 1.0))
+    assert w.rho_max == pytest.approx(1.0)
 
 
 def test_log_det_random_digraphs_match_slogdet():
@@ -220,7 +219,7 @@ def test_eigenvalues_computed_once(monkeypatch):
     w = row_standardize(grid_contiguity(5, 5))
     for rho in np.linspace(-0.9, 0.9, 7):
         log_det_A(w, rho)
-    stability_interval(w)
+    w.rho_max
     assert len(calls) == 1
     log_det_A(row_standardize(grid_contiguity(5, 5)), 0.5)
     assert len(calls) == 2
@@ -232,8 +231,8 @@ def test_lattice_eigenvalues_real_and_interval():
     assert np.sort(w.eigenvalues) == pytest.approx(
         np.sort(np.linalg.eigvals(w.entries).real), abs=1e-12)
     # the rook lattice is bipartite: its spectrum spans [-1, 1]
-    assert stability_interval(w) == pytest.approx((-1.0, 1.0), abs=1e-12)
-    assert stability_interval(weights_from_edges(4, [])) == (-np.inf, np.inf)
+    assert w.rho_max == pytest.approx(1.0, abs=1e-12)
+    assert weights_from_edges(4, []).rho_max == 1.0
 
 
 def test_entries_read_only():
@@ -245,6 +244,23 @@ def test_entries_read_only():
 def test_directed_path_is_nilpotent():
     # a strictly triangular W has only zero eigenvalues: det(I - rho*W) = 1
     w = SpatialWeights(n=4, entries=np.triu(np.ones((4, 4)), 1))
-    assert stability_interval(w) == (-np.inf, np.inf)
+    assert w.rho_max == 1.0
     for rho in (-3.0, 0.5, 3.0):
         assert log_det_A(w, rho) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows, cols", [(11, 11), (22, 22), (3, 7), (1, 2)])
+def test_rho_max_is_one_on_row_standardized_lattices(rows, cols):
+    assert row_standardize(grid_contiguity(rows, cols)).rho_max == pytest.approx(1.0, abs=1e-15)
+
+
+def test_rho_max_of_binary_rook_lattice():
+    # the lattice is the product of two 11-unit paths, each with largest
+    # eigenvalue 2 cos(pi/12), so W's is 4 cos(pi/12)
+    w = grid_contiguity(11, 11)
+    assert w.rho_max == pytest.approx(1.0 / (4.0 * np.cos(np.pi / 12)), rel=1e-13)
+    assert np.isfinite(log_det_A(w, w.rho_max * (1 - 1e-9)))
+
+
+def test_rho_max_of_zero_weights_is_one():
+    assert SpatialWeights(n=5, entries=np.zeros((5, 5))).rho_max == 1.0
