@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--n-iter", type=int, default=20_000)
     fit.add_argument("--burn-in", type=int, default=5_000)
-    fit.add_argument("--tuning-c", type=float, default=0.1)
-    fit.add_argument("--adapt", action=argparse.BooleanOptionalAction, default=True)
     fit.add_argument("--basis-count", type=int, default=7)
     fit.add_argument("--svg", action="store_true", help="emit SVG trace plots")
     fit.add_argument("--out", type=Path, required=True)
@@ -99,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--basis-count", type=int, default=7)
     tab.add_argument("--n-iter", type=int, default=5_000)
     tab.add_argument("--burn-in", type=int, default=1_500)
-    tab.add_argument("--tuning-c", type=float, default=0.1)
     tab.add_argument("--out", type=Path, required=True)
 
     mor = sub.add_parser("moran", help="Moran's I permutation test")
@@ -117,17 +115,19 @@ def _check_unit_count(n: int, basis_count: int) -> None:
 
 
 def cmd_simulate(args) -> int:
+    spec = SimulationSpec(
+        rho_true=args.rho, sigma2_true=args.sigma2, noise_sd=args.noise_sd,
+        n_basis=args.basis_count, seed=args.seed,
+    )
     if args.edges is not None:
         edges = fio.read_edges_csv(args.edges)
+        if args.n_units is None and not edges:
+            raise ValueError(f"{args.edges} holds no edges; give the unit count by --n-units")
         n = 1 + max(max(e) for e in edges) if args.n_units is None else args.n_units
         w = weights_from_edges(n, edges)
     else:
         w = grid_contiguity(*args.grid)
     _check_unit_count(w.n, args.basis_count)
-    spec = SimulationSpec(
-        rho_true=args.rho, sigma2_true=args.sigma2, noise_sd=args.noise_sd,
-        n_basis=args.basis_count, seed=args.seed,
-    )
     dataset = make_dataset(spec, row_standardize(w))
 
     out = args.out
@@ -153,31 +153,25 @@ def _load_bundle(data_dir: Path, basis_count: int) -> FslmData:
     return FslmData(y=y, z=sample.scores, w=w)
 
 
-def _fit_one(method: str, data: FslmData, args) -> tuple[dict, object]:
-    """Returns (report entry, chain or None)."""
+def _fit_one(method: str, data: FslmData, config: MhConfig | None) -> tuple[dict, object]:
+    """Returns (report entry, chain or None); a chain runs with the method's kernel."""
     if method == "ml":
-        est = fit_ml(data)
-        return est.to_json_dict(), None
-    prior = PriorSpec.diffuse(data.k)
-    config = MhConfig(
-        n_iter=args.n_iter,
-        burn_in=args.burn_in,
-        tuning_c=args.tuning_c,
-        kernel=method.removesuffix("-kernel"),
-        adapt=getattr(args, "adapt", True),
-        seed=args.seed,
-    )
-    chain = run_mwg(data, prior, config)
-    summary = summarize(chain, config.burn_in, data)
-    return summary.to_json_dict(), chain
+        return fit_ml(data).to_json_dict(), None
+    config = replace(config, kernel=method.removesuffix("-kernel"))
+    chain = run_mwg(data, PriorSpec.diffuse(data.k), config)
+    return summarize(chain, config.burn_in, data).to_json_dict(), chain
 
 
 def cmd_fit(args) -> int:
+    methods = METHODS if args.method == "all" else [args.method]
+    # ML alone runs no chain, so it ignores the chain flags
+    config = None if methods == ["ml"] else MhConfig(
+        n_iter=args.n_iter, burn_in=args.burn_in, seed=args.seed)
     data = _load_bundle(args.data, args.basis_count)
     args.out.mkdir(parents=True, exist_ok=True)
     report = {}
-    for method in METHODS if args.method == "all" else [args.method]:
-        entry, chain = _fit_one(method, data, args)
+    for method in methods:
+        entry, chain = _fit_one(method, data, config)
         report[method] = entry
         if chain is not None:
             fio.write_chain_csv(args.out / f"trace_{method}.csv", chain)
@@ -216,6 +210,7 @@ def _write_trace_svg(path, chain) -> None:
 def cmd_table1(args) -> int:
     if args.replicates < 1:
         raise ValueError("--replicates must be at least 1")
+    config = MhConfig(n_iter=args.n_iter, burn_in=args.burn_in, seed=args.seed)
     rows_lat, cols_lat = args.grid
     _check_unit_count(rows_lat * cols_lat, args.basis_count)
     w = row_standardize(grid_contiguity(rows_lat, cols_lat))
@@ -230,7 +225,7 @@ def cmd_table1(args) -> int:
             n_basis=args.basis_count, seed=args.seed + 1000 * rep + int(rho * 1e6),
         )
         data = make_dataset(spec, w).data
-        return {method: _fit_one(method, data, args)[0] for method in METHODS}
+        return {method: _fit_one(method, data, config)[0] for method in METHODS}
 
     by_key = {}
     for rho in args.rho_list:

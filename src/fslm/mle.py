@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FslmData, Theta, _gram_form, bic, log_likelihood
+from .model import rho_information, sigma2_hat
 from .spatial import log_det_A
 
 __all__ = ["MlEstimate", "fit_ml", "concentrated_loglik"]
@@ -49,14 +50,9 @@ class MlEstimate:
         }
 
 
-def _sigma2_hat(rho: float, data: FslmData) -> float:
-    e = data.ols_pair[1] @ (1.0, -rho)
-    return float(e @ e) / data.n
-
-
 def concentrated_loglik(rho: float, data: FslmData) -> float:
     """l_c(rho) up to an additive constant."""
-    return -0.5 * data.n * np.log(_sigma2_hat(rho, data)) + log_det_A(data.w, rho)
+    return -0.5 * data.n * np.log(sigma2_hat(rho, data)) + log_det_A(data.w, rho)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
@@ -98,7 +94,7 @@ def fit_ml(data: FslmData) -> MlEstimate:
     rho_hat = _golden_max(lambda r: concentrated_loglik(r, data), bracket_lo, bracket_hi)
 
     beta_hat = data.ols_pair[0] @ (1.0, -rho_hat)
-    theta = Theta(beta=beta_hat, sigma2=_sigma2_hat(rho_hat, data), rho=rho_hat)
+    theta = Theta(beta=beta_hat, sigma2=sigma2_hat(rho_hat, data), rho=rho_hat)
     return MlEstimate(theta, log_likelihood(theta, data), bic(theta, data),
                       *_observed_info_std(theta, data))
 
@@ -110,11 +106,9 @@ def _observed_info_std(theta: Theta, data: FslmData):
     k, n = data.k, data.n
     s2 = theta.sigma2
     gv, rr = _gram_form(theta.beta, theta.rho, data)
-    lam = data.w.eigenvalues
-    g = lam / (1.0 - theta.rho * lam)
     hess = np.empty((k + 2, k + 2))
     hess[:-1, :-1] = -data.gram[1:, 1:] / s2
-    hess[0, 0] -= np.sum(g * g).real
+    hess[0, 0] = -rho_information(s2, theta.rho, data)
     hess[:-1, -1] = hess[-1, :-1] = -gv[1:] / s2**2
     hess[-1, -1] = n / (2 * s2**2) - rr / s2**3
     try:

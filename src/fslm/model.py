@@ -34,6 +34,8 @@ __all__ = [
     "sigma2_conditional_params",
     "beta_conditional_params",
     "rho_log_conditional",
+    "rho_information",
+    "sigma2_hat",
     "bic",
 ]
 
@@ -191,6 +193,20 @@ def rho_log_conditional(rho: float, beta: np.ndarray, sigma2: float, data: FslmD
         return _log_kernel(beta, sigma2, rho, data)
     except np.linalg.LinAlgError:
         return -np.inf
+
+
+def sigma2_hat(rho: float, data: FslmData) -> float:
+    """ML sigma2 at fixed rho: ||E (1, -rho)||^2 / n, E from ols_pair."""
+    e = data.ols_pair[1] @ (1.0, -rho)
+    return float(e @ e) / data.n
+
+
+def rho_information(sigma2: float, rho: float, data: FslmData) -> float:
+    """-d^2/drho^2 of the log-likelihood and of rho's log conditional:
+    G[1,1]/sigma2 + sum_i Re(g_i^2), g_i = lambda_i / (1 - rho*lambda_i)."""
+    lam = data.w.eigenvalues
+    g = lam / (1.0 - rho * lam)
+    return float(data.gram[1, 1] / sigma2 + np.sum(g * g).real)
 
 
 def bic(theta_hat: Theta, data: FslmData) -> float:

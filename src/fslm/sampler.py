@@ -2,13 +2,12 @@
 
 Per iteration: draw beta from its normal conditional, sigma2 from its
 inverse-gamma conditional, then update rho by a symmetric random-walk
-Metropolis step (normal or uniform kernel).  The step scale c is
-adapted toward ACCEPTANCE_BAND after each block of
-min(100, burn_in // 10) iterations (at least one) of the burn-in, so
-every burn-in adapts it ten times or more, and frozen afterwards so the
-post-burn-in chain has a fixed kernel.  A proposal outside W's domain
-[0, W.rho_max) has zero density and is never accepted, so the chain
-stays on the domain it starts in.
+Metropolis step (normal or uniform kernel) of scale c.  The chain starts
+at rho = W.rho_max / 2, beta and sigma2 at their ML values there, and
+c = STEP_SCALE / sqrt(I), I the curvature of rho's log full conditional
+there.  Each burn-in block of min(100, burn_in // 10) iterations (at
+least one) adapts c toward ACCEPTANCE_BAND; then c is frozen.  Proposals
+off W's domain [0, W.rho_max) have zero density and are never accepted.
 """
 
 from __future__ import annotations
@@ -23,8 +22,10 @@ from .model import (
     Theta,
     bic,
     beta_conditional_params,
+    rho_information,
     rho_log_conditional,
     sigma2_conditional_params,
+    sigma2_hat,
 )
 
 __all__ = [
@@ -41,21 +42,20 @@ __all__ = [
 # Block acceptance rates outside this band widen or shrink the step scale.
 ACCEPTANCE_BAND = (0.40, 0.60)
 
+# Optimal 1-D random-walk step, in target sds (Roberts, Gelman & Gilks 1997, AAP 7:110).
+STEP_SCALE = 2.4
+
 
 @dataclass(frozen=True)
 class MhConfig:
     n_iter: int = 20_000
     burn_in: int = 5_000
-    tuning_c: float = 0.1
     kernel: str = "normal"  # "normal" or "uniform"
-    adapt: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.burn_in < self.n_iter:
             raise ValueError("need 0 <= burn_in < n_iter")
-        if self.tuning_c <= 0:
-            raise ValueError("tuning_c must be positive")
         if self.kernel not in ("normal", "uniform"):
             raise ValueError("kernel must be 'normal' or 'uniform'")
 
@@ -119,11 +119,10 @@ def adapt_tuning(c: float, block_acceptance: float) -> float:
 
 
 def default_init(data: FslmData) -> Theta:
-    """OLS of y on Z for beta and sigma2; rho at the middle of W's domain."""
-    ols, resid = data.ols_pair
-    dof = max(data.n - data.k, 1)
-    sigma2 = max(float(resid[:, 0] @ resid[:, 0]) / dof, 1e-12)
-    return Theta(beta=ols[:, 0], sigma2=sigma2, rho=0.5 * data.w.rho_max)
+    """rho = W.rho_max / 2, with beta and sigma2 at their ML values there."""
+    rho = 0.5 * data.w.rho_max
+    return Theta(beta=data.ols_pair[0] @ (1.0, -rho),
+                 sigma2=max(sigma2_hat(rho, data), 1e-12), rho=rho)
 
 
 def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
@@ -139,7 +138,9 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     tuning_trace = []
 
     beta, sigma2, rho = theta.beta, theta.sigma2, theta.rho
-    c = config.tuning_c
+    # W = 0 gives I = 0, and complex eigenvalue pairs can make I negative
+    info = rho_information(sigma2, rho, data)
+    c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
     block = min(100, max(1, config.burn_in // 10))
     block_accepts = 0
 
@@ -167,8 +168,7 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         accepted[j] = accept
 
         if j < config.burn_in and (j + 1) % block == 0:
-            if config.adapt:
-                c = adapt_tuning(c, block_accepts / block)
+            c = adapt_tuning(c, block_accepts / block)
             tuning_trace.append(c)
             block_accepts = 0
 

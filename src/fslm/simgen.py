@@ -42,6 +42,13 @@ class SimulationSpec:
     n_basis: int = 7
     seed: int = 0
 
+    def __post_init__(self):
+        # zero stays allowed, as Theta permits a noiseless truth
+        for name in ("sigma2_true", "noise_sd"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, not {value}")
+
 
 @dataclass(frozen=True)
 class SimulatedDataset:

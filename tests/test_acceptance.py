@@ -178,7 +178,7 @@ def test_criterion_4_acceptance_rate_control():
     prior = PriorSpec.diffuse(7)
 
     def one(seed):
-        cfg = MhConfig(n_iter=3_500, burn_in=2_000, adapt=True, seed=seed)
+        cfg = MhConfig(n_iter=3_500, burn_in=2_000, seed=seed)
         chain = run_mwg(ds.data, prior, cfg)
         return float(chain.accepted[2_000:].mean())
 

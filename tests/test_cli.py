@@ -174,6 +174,20 @@ def test_table1_rho_outside_domain_exits_2_before_any_fit(tmp_path, monkeypatch,
     assert not (tmp_path / "x").exists()
 
 
+def test_bad_chain_counts_exit_2_before_any_work(bundle, tmp_path, capsys):
+    counts = ["--n-iter", "100", "--burn-in", "100"]
+    for name, argv in [
+        ("table1", ["table1", "--rho-list", "0.3", "--grid", "4x4", "--basis-count", "4"]),
+        ("fit", ["fit", "--data", bundle, "--method", "normal-kernel"]),
+    ]:
+        assert run(argv + counts + ["--out", tmp_path / name]) == 2
+        assert "burn_in < n_iter" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
+    # ML alone runs no chain, so it ignores the chain counts
+    assert run(["fit", "--data", bundle, "--method", "ml", *counts,
+                "--out", tmp_path / "ml"]) == 0
+
+
 def test_moran_cli_path_graph(tmp_path, capsys):
     n = 8
     w = weights_from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -326,6 +340,13 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_config_with_removed_tuning_c_exits_2(bundle, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tuning_c": 0.1}))
+    assert run(["--config", config, "fit", "--data", bundle, "--out", tmp_path / "o"]) == 2
+    assert "unknown fit option(s)" in capsys.readouterr().err
+
+
 def test_simulate_edge_out_of_range_exits_2(tmp_path, capsys):
     edges = tmp_path / "edges.csv"
     edges.write_text("i,j\n1,12\n")
@@ -352,6 +373,24 @@ def test_simulate_header_only_edges_give_unlinked_units(tmp_path):
         code = run(["simulate", "--edges", edges, "--n-units", "10", "--out", out])
     assert code == 0
     assert (out / "weights.csv").read_bytes() == b"i,j,w\r\n"
+
+
+def test_simulate_header_only_edges_without_unit_count_exit_2(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("i,j\n")
+    assert run(["simulate", "--edges", edges, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert str(edges) in err and "--n-units" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, field", [("--sigma2", "sigma2_true"), ("--noise-sd", "noise_sd")])
+def test_simulate_negative_variance_exits_2_before_any_draw(tmp_path, capsys, recwarn,
+                                                           flag, field):
+    assert run(["simulate", flag, "-1", "--out", tmp_path / "o"]) == 2
+    assert f"{field} must be nonnegative, not -1.0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_simulate_headerless_edges_match_headed(tmp_path):
@@ -387,10 +426,10 @@ def test_config_switch_and_choice_values(bundle, tmp_path, capsys):
     config.write_text(json.dumps({"method": "bogus"}))
     assert run(argv) == 2
     assert "method must be one of" in capsys.readouterr().err
-    config.write_text(json.dumps({"adapt": "no"}))
+    config.write_text(json.dumps({"svg": "no"}))
     assert run(argv) == 2
-    assert "adapt must be a JSON boolean" in capsys.readouterr().err
-    config.write_text(json.dumps({"method": "ml", "adapt": False}))
+    assert "svg must be a JSON boolean" in capsys.readouterr().err
+    config.write_text(json.dumps({"method": "ml", "svg": False}))
     assert run(argv) == 0
 
 

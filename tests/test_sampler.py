@@ -7,8 +7,10 @@ from fslm import (
     FslmData,
     MhConfig,
     PriorSpec,
+    SimulationSpec,
     adapt_tuning,
     grid_contiguity,
+    make_dataset,
     propose_rho,
     rho_log_conditional,
     row_standardize,
@@ -16,6 +18,8 @@ from fslm import (
     summarize,
     weights_from_edges,
 )
+from fslm.model import sigma2_hat
+from fslm.sampler import default_init
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +135,7 @@ def test_adaptation_freeze(small_problem, monkeypatch):
     monkeypatch.setattr(fslm.sampler, "propose_rho",
                         lambda rho, c, *args: steps.append(c) or real(rho, c, *args))
     data, prior = small_problem
-    cfg = MhConfig(n_iter=3000, burn_in=1000, seed=5, adapt=True)
+    cfg = MhConfig(n_iter=3000, burn_in=1000, seed=5)
     chain = run_mwg(data, prior, cfg)
     assert len(chain.tuning_trace) == 10  # one entry per burn-in block
     # every post-burn-in proposal uses the last adapted step scale
@@ -153,15 +157,51 @@ def test_short_burn_in_adapts_ten_times(small_problem, monkeypatch):
 def test_trace_holds_only_burn_in_blocks(small_problem):
     chain = run_mwg(*small_problem, MhConfig(n_iter=2000, burn_in=0))
     assert chain.tuning_trace.size == 0
-    chain = run_mwg(*small_problem, MhConfig(n_iter=2000, burn_in=5, adapt=False))
-    assert np.array_equal(chain.tuning_trace, np.full(5, 0.1))
+    chain = run_mwg(*small_problem, MhConfig(n_iter=2000, burn_in=5))
+    assert chain.tuning_trace.size == 5
+
+
+def test_default_init_is_the_ml_profile_at_half_rho_max(small_problem):
+    data, _ = small_problem
+    rho = data.w.rho_max / 2
+    theta = default_init(data)
+    assert theta.rho == rho
+    assert theta.sigma2 == sigma2_hat(rho, data)
+
+
+def test_unlinked_weights_start_the_step_at_rho_max(monkeypatch):
+    import fslm.sampler
+
+    steps = []
+    real = fslm.sampler.propose_rho
+    monkeypatch.setattr(fslm.sampler, "propose_rho",
+                        lambda rho, c, *args: steps.append(c) or real(rho, c, *args))
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal((20, 2))
+    y = z @ np.array([1.0, -1.0]) + rng.standard_normal(20)
+    data = FslmData(y=y, z=z, w=weights_from_edges(20, []))
+    run_mwg(data, PriorSpec.diffuse(2), MhConfig(n_iter=5, burn_in=1))
+    assert steps[0] == data.w.rho_max
+
+
+@pytest.fixture(scope="module")
+def lattice_22x22():
+    w = row_standardize(grid_contiguity(22, 22))
+    return make_dataset(SimulationSpec(rho_true=0.5, seed=3), w).data
+
+
+@pytest.mark.parametrize("kernel", ["normal", "uniform"])
+def test_derived_step_mixes_on_22x22_lattice(lattice_22x22, kernel):
+    prior = PriorSpec.diffuse(lattice_22x22.k)
+    for seed in range(3):
+        cfg = MhConfig(n_iter=1_500, burn_in=500, kernel=kernel, seed=seed)
+        chain = run_mwg(lattice_22x22, prior, cfg)
+        assert 0.30 <= chain.accepted[cfg.burn_in:].mean() <= 0.65
 
 
 def test_invalid_config_and_init():
     with pytest.raises(ValueError):
         MhConfig(n_iter=10, burn_in=10)
-    with pytest.raises(ValueError):
-        MhConfig(n_iter=10, burn_in=0, tuning_c=0.0)
 
 
 def test_conjugate_regression_oracle():
