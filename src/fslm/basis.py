@@ -5,7 +5,8 @@ A functional covariate enters the model only through integrals
 and with the basis Gram matrix factored as G = L L^T the matrix
 Z = C L gives coordinates in which those integrals become plain dot
 products: Z (L^T b) = C G b.  Everything downstream (the regression
-design matrix) works with Z.
+design matrix) works with Z.  Basis functions are evaluated by de Boor's
+recurrence (Piegl & Tiller, The NURBS Book, algorithm A2.2).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BSpline
 
 __all__ = [
     "BasisSpec",
@@ -43,12 +43,9 @@ class BasisSpec:
         if np.any(t < self.domain_start - 1e-12) or np.any(t > self.domain_end + 1e-12):
             raise ValueError("evaluation points outside the basis domain")
         t = np.clip(t, self.domain_start, self.domain_end)
-        phi = BSpline.design_matrix(t, self.knots, self.order - 1).toarray()
+        phi = _bspline_values(t, self.knots, self.order)
         # right endpoint support convention: the last basis function is 1 there
-        at_end = t == self.domain_end
-        if np.any(at_end):
-            phi[at_end, :] = 0.0
-            phi[at_end, -1] = 1.0
+        phi[t == self.domain_end] = np.eye(self.n_basis)[-1]
         return phi
 
 
@@ -100,6 +97,24 @@ def build_bspline_basis(
     )
 
 
+def _bspline_values(x: np.ndarray, knots: np.ndarray, order: int) -> np.ndarray:
+    """All basis functions at x, len(x) x n_basis; the last knot span is closed."""
+    n_basis = knots.size - order
+    span = np.clip(np.searchsorted(knots, x, side="right") - 1, order - 1, n_basis - 1)
+    # h holds, per point, the j + 1 functions of degree j nonzero on its span
+    h = np.ones((x.size, 1))
+    for j in range(1, order):
+        hi = knots[span[:, None] + np.arange(1, j + 1)]
+        lo = knots[span[:, None] + np.arange(1 - j, 1)]
+        w = h / (hi - lo)
+        h = np.zeros((x.size, j + 1))
+        h[:, :j] = w * (hi - x[:, None])
+        h[:, 1:] += w * (x[:, None] - lo)
+    phi = np.zeros((x.size, n_basis))
+    phi[np.arange(x.size)[:, None], span[:, None] + np.arange(1 - order, 1)] = h
+    return phi
+
+
 def _gram_matrix(knots: np.ndarray, order: int) -> np.ndarray:
     nodes, weights = leggauss(order + 1)
     n_basis = knots.size - order
@@ -109,7 +124,7 @@ def _gram_matrix(knots: np.ndarray, order: int) -> np.ndarray:
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
         # Gauss nodes lie inside the span, away from the right endpoint
-        phi = BSpline.design_matrix(mid + half * nodes, knots, order - 1).toarray()
+        phi = _bspline_values(mid + half * nodes, knots, order)
         gram += half * (phi.T * weights) @ phi
     return gram
 
@@ -153,7 +168,5 @@ def reconstruct_gamma(
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (basis.n_basis,):
         raise ValueError("beta length must equal n_basis")
-    from scipy.linalg import solve_triangular
-
-    b = solve_triangular(basis.gram_chol.T, beta, lower=False)
+    b = np.linalg.solve(basis.gram_chol.T, beta)
     return basis.design_matrix(np.asarray(t_eval, dtype=float)) @ b

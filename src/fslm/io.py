@@ -133,13 +133,18 @@ def read_weights_csv(path, n: int | None = None) -> SpatialWeights:
         n = 1 + int(ij.max(initial=-1))
     if np.any(ij != rows[:, :2]) or np.any((ij < 0) | (ij >= n)):
         raise ValueError(f"{path}: indices i, j must be integers in [0, {n})")
+    if len(np.unique(ij, axis=0)) < len(ij):
+        raise ValueError(f"{path}: an (i, j) pair is given more than once")
     entries = np.zeros((n, n))
     entries[ij[:, 0], ij[:, 1]] = rows[:, 2]
     sums = entries.sum(axis=1)
     standardized = bool(
         np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0))
     )
-    return SpatialWeights(n=n, entries=entries, row_standardized=standardized)
+    try:
+        return SpatialWeights(n=n, entries=entries, row_standardized=standardized)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_edges_csv(path) -> list[tuple[int, int]]:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .spatial import SpatialWeights, log_det_A, read_only
 
@@ -111,8 +110,7 @@ class PriorSpec:
     @cached_property
     def precision(self) -> np.ndarray:
         """Sigma^{-1}."""
-        k = self.sigma_beta.shape[0]
-        return cho_solve(cho_factor(self.sigma_beta), np.eye(k))
+        return np.linalg.inv(self.sigma_beta)
 
     @cached_property
     def precision_mean(self) -> np.ndarray:
@@ -174,11 +172,9 @@ def beta_conditional_params(
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     g = data.gram
-    c = cho_factor(g[2:, 2:] + sigma2 * prior.precision)
-    mean = cho_solve(c, g[2:, 0] - rho * g[2:, 1] + sigma2 * prior.precision_mean)
-    cov = sigma2 * cho_solve(c, np.eye(data.k))
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
+    inv = np.linalg.inv(g[2:, 2:] + sigma2 * prior.precision)
+    mean = inv @ (g[2:, 0] - rho * g[2:, 1] + sigma2 * prior.precision_mean)
+    return mean, sigma2 * 0.5 * (inv + inv.T)
 
 
 def rho_log_conditional(rho: float, beta: np.ndarray, sigma2: float, data: FslmData) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .basis import BasisSpec, FunctionalSample, build_bspline_basis, smooth_curves
 from .model import FslmData, Theta
@@ -94,7 +93,7 @@ def simulate_response(
     n = sample.n
     eps = np.sqrt(sigma2) * rng.standard_normal(n)
     a = np.eye(n) - rho * w.entries
-    y = lu_solve(lu_factor(a), sample.scores @ beta + eps)
+    y = np.linalg.solve(a, sample.scores @ beta + eps)
 
     data = FslmData(y=y, z=sample.scores, w=w)
     return SimulatedDataset(

@@ -38,7 +38,7 @@ def read_only(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpatialWeights:
-    """Nonnegative n x n weight matrix with zero diagonal."""
+    """Finite, nonnegative n x n weight matrix with zero diagonal."""
 
     n: int
     entries: np.ndarray
@@ -49,6 +49,8 @@ class SpatialWeights:
         w = self.entries
         if w.shape != (self.n, self.n):
             raise ValueError("entries must be n x n")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(np.diag(w) != 0):
             raise ValueError("diagonal must be zero")
         if np.any(w < 0):

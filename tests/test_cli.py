@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fslm
 from fslm.cli import main
 from fslm import io as fio
 from fslm import grid_contiguity, row_standardize, weights_from_edges
@@ -481,10 +486,27 @@ def test_response_csv_trailing_blank_line_is_read(tmp_path, capsys):
     ("0,1\n1\n2,2\n", PATH3, "resp.csv"),
     ("0,1\n1,5\n2,2\n", PATH3 + "1,3,1\n", "w.csv"),
     ("0,1\n1,5\n2,2\n", PATH3 + "0,-1,1\n", "w.csv"),
-], ids=["short-row", "index-at-n", "negative-index"])
+    ("0,1\n1,5\n2,2\n", PATH3.replace("0,1,1", "0,1,nan"), "w.csv"),
+    ("0,1\n1,5\n2,2\n", PATH3.replace("0,1,1", "0,1,inf"), "w.csv"),
+], ids=["short-row", "index-at-n", "negative-index", "nan-weight", "inf-weight"])
 def test_malformed_bundle_csv_exits_2(tmp_path, capsys, response, weights, bad_file):
     assert run(write_moran_inputs(tmp_path, response, weights)) == 2
     assert bad_file in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fit_non_finite_weight_exits_2(bundle, tmp_path, capsys, bad):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("curves.csv", "response.csv"):
+        (data / name).write_bytes((bundle / name).read_bytes())
+    header, first, rest = (bundle / "weights.csv").read_text().split("\n", 2)
+    first = ",".join(first.split(",")[:2] + [bad])
+    (data / "weights.csv").write_text("\n".join([header, first, rest]))
+    assert run(["fit", "--data", data, "--method", "ml", "--out", tmp_path / "fit"]) == 2
+    err = capsys.readouterr().err
+    assert "weights.csv" in err and "finite" in err
+    assert not (tmp_path / "fit").exists()
 
 
 @pytest.mark.parametrize("response, weights, bad_file", [
@@ -536,3 +558,12 @@ def test_fit_all_on_binary_rook_weights_stays_in_domain(tmp_path):
     ml_only = json.loads((tmp_path / "ml" / "report.json").read_text())["ml"]
     both = json.loads((tmp_path / "all" / "report.json").read_text())["ml"]
     assert json.dumps(both) == json.dumps(ml_only)
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is fslm's only runtime dependency
+    code = "import sys, fslm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(fslm.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

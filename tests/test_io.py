@@ -2,6 +2,7 @@ import csv
 import io
 
 import numpy as np
+import pytest
 
 from fslm import io as fio
 
@@ -43,3 +44,11 @@ def test_write_table_zero_rows_writes_the_header(tmp_path):
                     np.array([], dtype=int), np.array([], dtype=int), np.array([]))
     assert (tmp_path / "t.csv").read_bytes() == b"i,j,w\r\n"
     assert (tmp_path / "t.csv").read_bytes() == reference_csv(["i", "j", "w"], [], [], [])
+
+
+def test_read_weights_csv_refuses_repeated_pair(tmp_path):
+    # a later triplet would otherwise silently replace the earlier one
+    path = tmp_path / "w.csv"
+    path.write_text("i,j,w\n0,1,0.5\n1,0,1\n0,1,5\n")
+    with pytest.raises(ValueError, match=r"w\.csv: an \(i, j\) pair is given more than once"):
+        fio.read_weights_csv(path)

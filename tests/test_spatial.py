@@ -88,6 +88,12 @@ def test_diagonal_zero_enforced():
         SpatialWeights(n=2, entries=np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_refused(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SpatialWeights(n=2, entries=np.array([[0.0, bad], [1.0, 0.0]]))
+
+
 def test_log_det_zero_rho():
     for w in (weights_from_edges(3, []), row_standardize(grid_contiguity(3, 3))):
         assert log_det_A(w, 0.0) == 0.0
