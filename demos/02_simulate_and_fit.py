@@ -24,7 +24,7 @@ print("true beta:", np.round(ds.true_theta.beta, 3))
 prior = PriorSpec.diffuse(ds.data.k)
 config = MhConfig(n_iter=10_000, burn_in=3_000, kernel="normal", seed=1)
 chain = run_mwg(ds.data, prior, config)
-summary = summarize(chain, config.burn_in, ds.data)
+summary = summarize(chain, ds.data)  # over the draws after chain.burn_in
 
 print("\nposterior mean beta:", np.round(summary.mean.beta, 3))
 print("posterior mean sigma2:", round(summary.mean.sigma2, 3))

@@ -159,7 +159,7 @@ def _fit_one(method: str, data: FslmData, config: MhConfig | None) -> tuple[dict
         return fit_ml(data).to_json_dict(), None
     config = replace(config, kernel=method.removesuffix("-kernel"))
     chain = run_mwg(data, PriorSpec.diffuse(data.k), config)
-    return summarize(chain, config.burn_in, data).to_json_dict(), chain
+    return summarize(chain, data).to_json_dict(), chain
 
 
 def cmd_fit(args) -> int:
@@ -211,26 +211,16 @@ def cmd_table1(args) -> int:
     if args.replicates < 1:
         raise ValueError("--replicates must be at least 1")
     config = MhConfig(n_iter=args.n_iter, burn_in=args.burn_in, seed=args.seed)
-    rows_lat, cols_lat = args.grid
-    _check_unit_count(rows_lat * cols_lat, args.basis_count)
-    w = row_standardize(grid_contiguity(rows_lat, cols_lat))
-    for rho in args.rho_list:
-        if not 0 <= rho < w.rho_max:
-            raise ValueError(f"rho {rho} outside W's domain [0, {w.rho_max:.6g})")
+    _check_unit_count(args.grid[0] * args.grid[1], args.basis_count)
+    w = row_standardize(grid_contiguity(*args.grid))
+    # every replicate is simulated, so every rho is checked, before any output or fit
+    datasets = [
+        [make_dataset(SimulationSpec(rho_true=rho, n_basis=args.basis_count,
+                                     seed=args.seed + 1000 * rep + int(rho * 1e6)), w).data
+         for rep in range(args.replicates)]
+        for rho in args.rho_list
+    ]
     args.out.mkdir(parents=True, exist_ok=True)
-
-    def one_replicate(rho: float, rep: int) -> dict:
-        spec = SimulationSpec(
-            rho_true=rho, lattice_rows=rows_lat, lattice_cols=cols_lat,
-            n_basis=args.basis_count, seed=args.seed + 1000 * rep + int(rho * 1e6),
-        )
-        data = make_dataset(spec, w).data
-        return {method: _fit_one(method, data, config)[0] for method in METHODS}
-
-    by_key = {}
-    for rho in args.rho_list:
-        for rep in range(args.replicates):
-            by_key.setdefault(rho, []).append(one_replicate(rho, rep))
 
     columns = [f"beta_{j + 1}" for j in range(args.basis_count)]
     columns += ["sigma2", "rho", "bic"]
@@ -238,10 +228,11 @@ def cmd_table1(args) -> int:
     if args.replicates > 1:
         header += [f"sd_{c}" for c in columns]
     table = []
-    for rho in args.rho_list:
+    for replicates in datasets:
         for method in METHODS:
             stack = np.array([e["beta_mean"] + [e["sigma2_mean"], e["rho_mean"], e["bic"]]
-                              for e in (r[method] for r in by_key[rho])])
+                              for e in (_fit_one(method, data, config)[0]
+                                        for data in replicates)])
             sds = [stack.std(axis=0, ddof=1)] if args.replicates > 1 else []
             table.append(np.concatenate([stack.mean(axis=0), *sds]))
     out_path = args.out / "table1.csv"

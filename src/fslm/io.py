@@ -66,9 +66,10 @@ def _read_table(path, names: list[str] | None = None,
                 optional_header: bool = False) -> tuple[list[str], np.ndarray]:
     """A CSV file's header fields and its rows of floats, each as wide as
     the header; a ValueError naming the file when the file is empty, the
-    header is not names (when given), or a row does not parse or is of
-    another width.  With optional_header, a first line other than names
-    is a row, not a header, and the header returned is names."""
+    header is not names (when given), a row does not parse or is of
+    another width, or a value is NaN or inf.  With optional_header, a
+    first line other than names is a row, not a header, and the header
+    returned is names."""
     with open(path, newline="") as f, warnings.catch_warnings():
         # a header-only file is a table without rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -88,6 +89,8 @@ def _read_table(path, names: list[str] | None = None,
     width = len(header)
     if rows.size and rows.shape[1] != width:
         raise ValueError(f"{path}: rows must hold {width} values")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{path}: values must be finite")
     return header, rows.reshape(-1, width)
 
 
@@ -105,10 +108,11 @@ def read_curves_csv(path):
         if header[0] != "id" or len(header) < 2:
             raise ValueError
         t_grid = np.array([float(h[2:]) for h in header[1:] if h.startswith("t=")])
-        if t_grid.size < len(header) - 1:
+        if t_grid.size < len(header) - 1 or not np.all(np.isfinite(t_grid)):
             raise ValueError
     except ValueError:
-        raise ValueError(f"{path}: header must be id,t=<t0>,t=<t1>,...") from None
+        raise ValueError(f"{path}: header must be id,t=<t0>,t=<t1>,... "
+                         f"with finite t") from None
     return t_grid, np.ascontiguousarray(_by_id(rows, path)[:, 1:])
 
 

@@ -67,6 +67,7 @@ class Chain:
     draws_rho: np.ndarray      # n_iter
     accepted: np.ndarray       # n_iter bool
     tuning_trace: np.ndarray   # c after each burn-in block
+    burn_in: int               # MhConfig.burn_in of the run
 
     def __len__(self) -> int:
         return self.draws_rho.shape[0]
@@ -178,16 +179,15 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         draws_rho=draws_rho,
         accepted=accepted,
         tuning_trace=np.asarray(tuning_trace),
+        burn_in=config.burn_in,
     )
 
 
-def summarize(chain: Chain, burn_in: int, data: FslmData | None = None) -> PosteriorSummary:
-    """Posterior means, stds and quantiles over the post-burn-in draws.
-
-    The chain holds one draw per iteration, so burn_in is MhConfig's
-    iteration count.  BIC is evaluated at the posterior-mean parameters
-    when data is given, NaN otherwise.
-    """
+def summarize(chain: Chain, data: FslmData | None = None) -> PosteriorSummary:
+    """Posterior means, stds and quantiles over the draws after the chain's
+    burn-in; BIC at the posterior-mean parameters when data is given, NaN
+    otherwise."""
+    burn_in = chain.burn_in
     if burn_in >= len(chain):
         raise ValueError("burn_in leaves no draws to summarize")
     qs = (2.5, 50.0, 97.5)

@@ -1,14 +1,15 @@
 """Synthetic data generation for the simulation study.
 
-Covariate curves are cos(t) + sin(t) plus white noise on an integer
-grid, smoothed onto the B-spline basis; the functional coefficient is
-g(t) = exp(-t/10) * ((t/10)^2 + 3*(t/10) - 4); responses solve
-(I - rho*W) y = Z beta + eps on a rook lattice or any given W.
+make_dataset owns the paper's truth: covariate curves cos(t) + sin(t)
+plus white noise on the integer grid GRID_T, smoothed onto the B-spline
+basis, and beta, the projection on GRID_T of the functional coefficient
+g(t) = exp(-t/10) * ((t/10)^2 + 3*(t/10) - 4).  simulate_response
+solves (I - rho*W) y = Z beta + eps for a given theta and W.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +48,8 @@ class SimulationSpec:
             value = getattr(self, name)
             if not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, not {value}")
+            if value == np.inf:
+                raise ValueError(f"{name} must be finite, not {value}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class SimulatedDataset:
     sample: FunctionalSample
     true_theta: Theta
     true_gamma_coef: np.ndarray  # B-spline coefficients of projected gamma
-    raw_curves: np.ndarray | None = None  # n x len(GRID_T), before smoothing
+    raw_curves: np.ndarray  # n x len(GRID_T), before smoothing
 
 
 def true_gamma(t):
@@ -71,41 +74,18 @@ def project_gamma(basis: BasisSpec, t_grid: np.ndarray) -> np.ndarray:
     return coef
 
 
-def simulate_response(
-    sample: FunctionalSample,
-    w: SpatialWeights,
-    rho: float,
-    sigma2: float,
-    seed: int,
-    t_grid: np.ndarray | None = None,
-) -> SimulatedDataset:
-    """Solve (I - rho*W) y = Z beta + eps for the response vector; a
-    ValueError when rho lies outside W's domain [0, W.rho_max)."""
-    if not 0 <= rho < w.rho_max:
-        raise ValueError(f"rho {rho} outside W's domain [0, {w.rho_max:.6g})")
-    basis = sample.basis
-    if t_grid is None:
-        t_grid = np.linspace(basis.domain_start, basis.domain_end, 1001)
-    gamma_coef = project_gamma(basis, t_grid)
-    beta = basis.gram_chol.T @ gamma_coef
-
-    rng = np.random.default_rng(seed)
-    n = sample.n
-    eps = np.sqrt(sigma2) * rng.standard_normal(n)
-    a = np.eye(n) - rho * w.entries
-    y = np.linalg.solve(a, sample.scores @ beta + eps)
-
-    data = FslmData(y=y, z=sample.scores, w=w)
-    return SimulatedDataset(
-        data=data,
-        sample=sample,
-        true_theta=Theta(beta=beta, sigma2=sigma2, rho=rho),
-        true_gamma_coef=gamma_coef,
-    )
+def simulate_response(z: np.ndarray, w: SpatialWeights, theta: Theta, seed: int) -> np.ndarray:
+    """Solve (I - rho*W) y = Z beta + eps, eps ~ N(0, sigma2*I) drawn from
+    the seed, for y; a ValueError when rho lies outside W's domain
+    [0, W.rho_max)."""
+    if not 0 <= theta.rho < w.rho_max:
+        raise ValueError(f"rho {theta.rho} outside W's domain [0, {w.rho_max:.6g})")
+    eps = np.sqrt(theta.sigma2) * np.random.default_rng(seed).standard_normal(w.n)
+    return np.linalg.solve(np.eye(w.n) - theta.rho * w.entries, z @ theta.beta + eps)
 
 
 def make_dataset(spec: SimulationSpec, w: SpatialWeights | None = None) -> SimulatedDataset:
-    """Full pipeline: weights, covariates, response.
+    """Full pipeline: weights, covariates, the paper's truth, response.
 
     W defaults to the row-standardized rook contiguity of the spec's
     lattice; a given W replaces the lattice and sets the unit count.
@@ -115,15 +95,12 @@ def make_dataset(spec: SimulationSpec, w: SpatialWeights | None = None) -> Simul
     basis = build_bspline_basis(GRID_T[0], GRID_T[-1], spec.n_basis, 4)
     # raw covariate curves: cos(t) + sin(t) plus white noise, one per unit
     rng = np.random.default_rng(spec.seed)
-    t = GRID_T
-    signal = np.cos(t) + np.sin(t)
-    raw = signal[None, :] + spec.noise_sd * rng.standard_normal((w.n, t.size))
-    dataset = simulate_response(
-        smooth_curves(t, raw, basis),
-        w,
-        rho=spec.rho_true,
-        sigma2=spec.sigma2_true,
-        seed=spec.seed + 1,
-        t_grid=GRID_T,
-    )
-    return replace(dataset, raw_curves=raw)
+    signal = np.cos(GRID_T) + np.sin(GRID_T)
+    raw = signal[None, :] + spec.noise_sd * rng.standard_normal((w.n, GRID_T.size))
+    sample = smooth_curves(GRID_T, raw, basis)
+    gamma_coef = project_gamma(basis, GRID_T)
+    theta = Theta(beta=basis.gram_chol.T @ gamma_coef, sigma2=spec.sigma2_true,
+                  rho=spec.rho_true)
+    y = simulate_response(sample.scores, w, theta, seed=spec.seed + 1)
+    return SimulatedDataset(data=FslmData(y=y, z=sample.scores, w=w), sample=sample,
+                            true_theta=theta, true_gamma_coef=gamma_coef, raw_curves=raw)

@@ -172,6 +172,8 @@ def morans_i(
     n = w.n
     if values.shape != (n,):
         raise ValueError("values length must match the number of units")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     if n < 3:
         raise ValueError("need at least 3 units")
     if n_permutations < 0:

@@ -124,7 +124,7 @@ def test_criterion_2_brute_force_posterior():
 
     cfg = MhConfig(n_iter=60_000, burn_in=5_000, seed=201)
     chain = run_mwg(data, prior, cfg)
-    s = summarize(chain, cfg.burn_in, data)
+    s = summarize(chain, data)
     mcmc_means = {
         "rho": s.mean.rho,
         "beta": float(s.mean.beta[0]),
@@ -146,7 +146,7 @@ def _recover_one(rho_true, rep, method):
         return est.theta.rho, est.theta.sigma2
     prior = PriorSpec.diffuse(7)
     cfg = MhConfig(n_iter=2_500, burn_in=1_000, kernel=method, seed=rep)
-    s = summarize(run_mwg(ds.data, prior, cfg), 1_000)
+    s = summarize(run_mwg(ds.data, prior, cfg))
     return s.mean.rho, s.mean.sigma2
 
 
@@ -266,7 +266,7 @@ def test_criterion_7_ml_baseline():
 
     prior = PriorSpec.diffuse(7)
     cfg = MhConfig(n_iter=4_000, burn_in=1_500, seed=702)
-    s = summarize(run_mwg(ds.data, prior, cfg), 1_500)
+    s = summarize(run_mwg(ds.data, prior, cfg))
     band_rho = 3 * (s.std_rho + est.std_rho)
     ok_agree = abs(s.mean.rho - est.theta.rho) < band_rho and np.all(
         np.abs(s.mean.beta - est.theta.beta) < 3 * (s.std_beta + est.std_beta)

@@ -270,6 +270,7 @@ def test_chain_csv_numbers_thinned_draws_by_iteration(tmp_path):
         draws_rho=np.full(3, 0.5),
         accepted=np.ones(3, dtype=bool),
         tuning_trace=np.array([0.1]),
+        burn_in=0,
     )
     fio.write_chain_csv(tmp_path / "trace.csv", chain)
     with open(tmp_path / "trace.csv") as f:
@@ -398,6 +399,15 @@ def test_simulate_negative_variance_exits_2_before_any_draw(tmp_path, capsys, re
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("flag, field", [("--sigma2", "sigma2_true"), ("--noise-sd", "noise_sd")])
+def test_simulate_infinite_variance_exits_2_before_any_draw(tmp_path, capsys, recwarn,
+                                                           flag, field):
+    assert run(["simulate", flag, "inf", "--out", tmp_path / "o"]) == 2
+    assert f"{field} must be finite, not inf" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_simulate_headerless_edges_match_headed(tmp_path):
     pairs = "".join(f"{i},{i + 1}\n" for i in range(8))
     (tmp_path / "headed.csv").write_text("i,j\n" + pairs)
@@ -488,10 +498,28 @@ def test_response_csv_trailing_blank_line_is_read(tmp_path, capsys):
     ("0,1\n1,5\n2,2\n", PATH3 + "0,-1,1\n", "w.csv"),
     ("0,1\n1,5\n2,2\n", PATH3.replace("0,1,1", "0,1,nan"), "w.csv"),
     ("0,1\n1,5\n2,2\n", PATH3.replace("0,1,1", "0,1,inf"), "w.csv"),
-], ids=["short-row", "index-at-n", "negative-index", "nan-weight", "inf-weight"])
+    ("0,1\n1,nan\n2,2\n", PATH3, "resp.csv"),
+    ("0,1\n1,-inf\n2,2\n", PATH3, "resp.csv"),
+], ids=["short-row", "index-at-n", "negative-index", "nan-weight", "inf-weight",
+        "nan-response", "inf-response"])
 def test_malformed_bundle_csv_exits_2(tmp_path, capsys, response, weights, bad_file):
     assert run(write_moran_inputs(tmp_path, response, weights)) == 2
     assert bad_file in capsys.readouterr().err
+
+
+def test_fit_nan_curve_value_names_curves_csv(bundle, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("response.csv", "weights.csv"):
+        (data / name).write_bytes((bundle / name).read_bytes())
+    header, first, rest = (bundle / "curves.csv").read_text().split("\n", 2)
+    cells = first.split(",")
+    cells[1] = "nan"
+    (data / "curves.csv").write_text("\n".join([header, ",".join(cells), rest]))
+    assert run(["fit", "--data", data, "--method", "ml", "--out", tmp_path / "fit"]) == 2
+    err = capsys.readouterr().err
+    assert "curves.csv" in err and "finite" in err
+    assert not (tmp_path / "fit").exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -527,7 +555,9 @@ def test_bundle_csv_without_its_header_exits_2(tmp_path, capsys, response, weigh
     lambda header: "",
     lambda header: header.replace("id,", "unit,", 1),
     lambda header: header.replace(",t=1,", ",x=1,", 1),
-], ids=["headerless", "unit-column", "x-field"])
+    lambda header: header.replace(",t=1,", ",t=nan,", 1),
+    lambda header: header.replace(",t=1,", ",t=inf,", 1),
+], ids=["headerless", "unit-column", "x-field", "nan-t", "inf-t"])
 def test_curves_csv_without_its_header_exits_2(bundle, tmp_path, capsys, edit):
     data = tmp_path / "data"
     data.mkdir()

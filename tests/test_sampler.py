@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -106,6 +108,21 @@ def test_chain_determinism(small_problem):
     assert np.array_equal(a.draws_sigma2, b.draws_sigma2)
     assert np.array_equal(a.draws_rho, b.draws_rho)
     assert np.array_equal(a.accepted, b.accepted)
+
+
+def test_summarize_reads_the_burn_in_the_chain_ran_with(small_problem):
+    data, prior = small_problem
+    cfg = MhConfig(n_iter=300, burn_in=120, seed=9)
+    chain = run_mwg(data, prior, cfg)
+    assert chain.burn_in == cfg.burn_in
+    s = summarize(chain)
+    kept = chain.draws_beta[cfg.burn_in:]
+    assert np.array_equal(s.mean.beta, kept.mean(axis=0))
+    assert np.array_equal(s.std_beta, kept.std(axis=0, ddof=1))
+    assert s.mean.rho == chain.draws_rho[cfg.burn_in:].mean()
+    assert s.std_rho == chain.draws_rho[cfg.burn_in:].std(ddof=1)
+    assert s.mean.sigma2 == chain.draws_sigma2[cfg.burn_in:].mean()
+    assert s.std_sigma2 == chain.draws_sigma2[cfg.burn_in:].std(ddof=1)
 
 
 def test_chain_support_invariants(small_problem):
@@ -217,7 +234,7 @@ def test_conjugate_regression_oracle():
 
     cfg = MhConfig(n_iter=20_000, burn_in=2_000, seed=7)
     chain = run_mwg(data, prior, cfg)
-    s = summarize(chain, cfg.burn_in, data)
+    s = summarize(chain, data)
 
     ols, *_ = np.linalg.lstsq(z, y, rcond=None)
     rss = float(np.sum((y - z @ ols) ** 2))
@@ -241,15 +258,16 @@ def test_summarize_trivial_cases():
         draws_rho=np.full(n, 0.25),
         accepted=np.ones(n, dtype=bool),
         tuning_trace=np.array([0.1]),
+        burn_in=10,
     )
-    s = summarize(chain, 10)
+    s = summarize(chain)
     assert np.all(s.std_beta == 0)
     assert s.std_sigma2 == 0
     assert np.all(s.quantiles_rho == 0.25)
     assert s.acceptance_rate == 1.0
     assert np.isnan(s.bic)
     with pytest.raises(ValueError):
-        summarize(chain, n)
+        summarize(replace(chain, burn_in=n))
 
 
 def test_summarize_ig_moments():
@@ -262,8 +280,9 @@ def test_summarize_ig_moments():
         draws_rho=np.full(n, 0.5),
         accepted=np.zeros(n, dtype=bool),
         tuning_trace=np.array([0.1]),
+        burn_in=0,
     )
-    s = summarize(chain, 0)
+    s = summarize(chain)
     assert s.mean.sigma2 == pytest.approx(1.0, rel=0.01)
     # IG(3,.) has no finite 4th moment, so the sample sd converges slowly
     assert s.std_sigma2 == pytest.approx(1.0, rel=0.05)

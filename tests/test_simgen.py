@@ -3,6 +3,7 @@ import pytest
 
 from fslm import (
     SimulationSpec,
+    Theta,
     build_bspline_basis,
     grid_contiguity,
     make_dataset,
@@ -53,9 +54,12 @@ def test_response_no_spatial_feedback():
 def test_response_noiseless_identity():
     spec = SimulationSpec(lattice_rows=3, lattice_cols=3, seed=5)
     w = row_standardize(grid_contiguity(3, 3))
-    ds = simulate_response(make_dataset(spec).sample, w, rho=0.5, sigma2=0.0, seed=9)
+    ds = make_dataset(spec)
+    z = ds.data.z
+    theta = Theta(beta=ds.true_theta.beta, sigma2=0.0, rho=0.5)
+    y = simulate_response(z, w, theta, seed=9)
     a = np.eye(9) - 0.5 * w.entries
-    resid = a @ ds.data.y - ds.data.z @ ds.true_theta.beta
+    resid = a @ y - z @ theta.beta
     assert np.linalg.norm(resid) < 1e-10
 
 
@@ -64,19 +68,13 @@ def test_response_covariance_propagation():
     rng = np.random.default_rng(6)
     n = 4
     w = row_standardize(grid_contiguity(2, 2))
-    basis = build_bspline_basis(0, 1, 1, 1)
-    from fslm.basis import FunctionalSample
-
-    sample = FunctionalSample(
-        basis=basis, coef=rng.standard_normal((n, 1)), scores=rng.standard_normal((n, 1))
-    )
+    z = rng.standard_normal((n, 1))
     rho, sigma2 = 0.4, 1.5
+    theta = Theta(beta=np.ones(1), sigma2=sigma2, rho=rho)
     a = np.eye(n) - rho * w.entries
-    mean_y = np.linalg.solve(a, sample.scores @ np.linalg.solve(a, np.zeros(n))[:1])
     draws = np.empty((10_000, n))
     for r in range(draws.shape[0]):
-        ds = simulate_response(sample, w, rho=rho, sigma2=sigma2, seed=r)
-        draws[r] = ds.data.y
+        draws[r] = simulate_response(z, w, theta, seed=r)
     centered = draws - draws.mean(axis=0)
     emp_var = centered.var(axis=0)
     theo = sigma2 * np.diag(np.linalg.inv(a @ a.T))
@@ -128,5 +126,6 @@ def test_rho_outside_the_domain_of_the_given_weights_rejected():
     with pytest.raises(ValueError, match="domain"):
         make_dataset(SimulationSpec(rho_true=-0.1, seed=1))
     ds = make_dataset(SimulationSpec(rho_true=0.25, seed=1), grid_contiguity(11, 11))
+    theta = Theta(beta=ds.true_theta.beta, sigma2=1.0, rho=0.5)
     with pytest.raises(ValueError, match="domain"):
-        simulate_response(ds.sample, grid_contiguity(11, 11), rho=0.5, sigma2=1.0, seed=2)
+        simulate_response(ds.data.z, grid_contiguity(11, 11), theta, seed=2)

@@ -142,6 +142,13 @@ def test_moran_degenerate_inputs():
         morans_i(np.ones(4), w2, 9, 0)  # constant values
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_moran_refuses_non_finite_values(bad):
+    w = weights_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="finite"):
+        morans_i(np.array([1.0, bad, 3.0, 4.0]), w, 9, 0)
+
+
 def test_moran_lattice_gradient():
     w = row_standardize(grid_contiguity(11, 11))
     values = np.arange(121, dtype=float)  # smooth row-major gradient
