@@ -26,10 +26,11 @@ config = MhConfig(n_iter=10_000, burn_in=3_000, kernel="normal", seed=1)
 chain = run_mwg(ds.data, prior, config)
 summary = summarize(chain, ds.data)  # over the draws after chain.burn_in
 
-print("\nposterior mean beta:", np.round(summary.mean.beta, 3))
-print("posterior mean sigma2:", round(summary.mean.sigma2, 3))
-print("posterior mean rho:", round(summary.mean.rho, 3))
-print("rho 95% interval:", np.round(summary.quantiles_rho[[0, 2]], 3))
+print("\nposterior mean beta:", np.round(summary.theta.beta, 3))
+print("posterior mean sigma2:", round(summary.theta.sigma2, 3))
+print("posterior mean rho:", round(summary.theta.rho, 3))
+interval = np.percentile(chain.draws_rho[chain.burn_in:], [2.5, 97.5])
+print("rho 95% interval:", np.round(interval, 3))
 print("acceptance rate:", round(summary.acceptance_rate, 3))
 print("adapted step scale:", round(chain.tuning_trace[-1], 4))
 print("BIC:", round(summary.bic, 1))

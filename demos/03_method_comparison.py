@@ -28,8 +28,8 @@ for rho_true in (0.3, 0.5, 0.7):
         config = MhConfig(n_iter=6_000, burn_in=2_000, kernel=kernel, seed=0)
         s = summarize(run_mwg(ds.data, prior, config), ds.data)
         print(
-            f"{rho_true:>8} {kernel + ' kernel':>16} {s.mean.rho:>8.3f} "
-            f"{s.mean.sigma2:>8.3f} {s.bic:>8.1f}"
+            f"{rho_true:>8} {kernel + ' kernel':>16} {s.theta.rho:>8.3f} "
+            f"{s.theta.sigma2:>8.3f} {s.bic:>8.1f}"
         )
     ml = fit_ml(ds.data)
     print(

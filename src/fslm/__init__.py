@@ -10,8 +10,9 @@ from .basis import (
     reconstruct_gamma,
     smooth_curves,
 )
-from .mle import MlEstimate, fit_ml
+from .mle import fit_ml
 from .model import (
+    Estimate,
     FslmData,
     PriorSpec,
     Theta,
@@ -24,7 +25,6 @@ from .model import (
 from .sampler import (
     Chain,
     MhConfig,
-    PosteriorSummary,
     adapt_tuning,
     propose_rho,
     run_mwg,

@@ -18,8 +18,8 @@ import numpy as np
 from . import io as fio
 from .basis import build_bspline_basis, smooth_curves
 from .mle import fit_ml
-from .model import FslmData, PriorSpec
-from .sampler import MhConfig, run_mwg, summarize
+from .model import Estimate, FslmData, PriorSpec
+from .sampler import Chain, MhConfig, run_mwg, summarize
 from .simgen import GRID_T, SimulationSpec, make_dataset
 from .spatial import (
     grid_contiguity,
@@ -153,13 +153,14 @@ def _load_bundle(data_dir: Path, basis_count: int) -> FslmData:
     return FslmData(y=y, z=sample.scores, w=w)
 
 
-def _fit_one(method: str, data: FslmData, config: MhConfig | None) -> tuple[dict, object]:
-    """Returns (report entry, chain or None); a chain runs with the method's kernel."""
+def _fit_one(method: str, data: FslmData,
+             config: MhConfig | None) -> tuple[Estimate, Chain | None]:
+    """Returns (estimate, chain or None); a chain runs with the method's kernel."""
     if method == "ml":
-        return fit_ml(data).to_json_dict(), None
+        return fit_ml(data), None
     config = replace(config, kernel=method.removesuffix("-kernel"))
     chain = run_mwg(data, PriorSpec.diffuse(data.k), config)
-    return summarize(chain, data).to_json_dict(), chain
+    return summarize(chain, data), chain
 
 
 def cmd_fit(args) -> int:
@@ -171,8 +172,8 @@ def cmd_fit(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     report = {}
     for method in methods:
-        entry, chain = _fit_one(method, data, config)
-        report[method] = entry
+        estimate, chain = _fit_one(method, data, config)
+        report[method] = estimate.to_json_dict()
         if chain is not None:
             fio.write_chain_csv(args.out / f"trace_{method}.csv", chain)
             if args.svg:
@@ -230,7 +231,7 @@ def cmd_table1(args) -> int:
     table = []
     for replicates in datasets:
         for method in METHODS:
-            stack = np.array([e["beta_mean"] + [e["sigma2_mean"], e["rho_mean"], e["bic"]]
+            stack = np.array([[*e.theta.beta, e.theta.sigma2, e.theta.rho, e.bic]
                               for e in (_fit_one(method, data, config)[0]
                                         for data in replicates)])
             sds = [stack.std(axis=0, ddof=1)] if args.replicates > 1 else []

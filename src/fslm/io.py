@@ -108,11 +108,12 @@ def read_curves_csv(path):
         if header[0] != "id" or len(header) < 2:
             raise ValueError
         t_grid = np.array([float(h[2:]) for h in header[1:] if h.startswith("t=")])
-        if t_grid.size < len(header) - 1 or not np.all(np.isfinite(t_grid)):
+        if (t_grid.size < len(header) - 1 or not np.all(np.isfinite(t_grid))
+                or np.any(np.diff(t_grid) <= 0)):
             raise ValueError
     except ValueError:
         raise ValueError(f"{path}: header must be id,t=<t0>,t=<t1>,... "
-                         f"with finite t") from None
+                         f"with finite, strictly increasing t") from None
     return t_grid, np.ascontiguousarray(_by_id(rows, path)[:, 1:])
 
 

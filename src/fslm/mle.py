@@ -16,38 +16,16 @@ information (Anselin 1988, Spatial Econometrics, ch. 6).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FslmData, Theta, _gram_form, bic, log_likelihood
+from .model import Estimate, FslmData, Theta, _gram_form, bic
 from .model import rho_information, sigma2_hat
 from .spatial import log_det_A
 
-__all__ = ["MlEstimate", "fit_ml", "concentrated_loglik"]
+__all__ = ["fit_ml", "concentrated_loglik"]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class MlEstimate:
-    theta: Theta
-    log_likelihood: float
-    bic: float
-    std_beta: np.ndarray
-    std_sigma2: float
-    std_rho: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta_mean": self.theta.beta.tolist(),
-            "beta_std": self.std_beta.tolist(),
-            "sigma2_mean": self.theta.sigma2,
-            "sigma2_std": self.std_sigma2,
-            "rho_mean": self.theta.rho,
-            "rho_std": self.std_rho,
-            "bic": self.bic,
-        }
 
 
 def concentrated_loglik(rho: float, data: FslmData) -> float:
@@ -72,8 +50,9 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def fit_ml(data: FslmData) -> MlEstimate:
-    """Maximize the concentrated likelihood over [0, min(0.999, W.rho_max))."""
+def fit_ml(data: FslmData) -> Estimate:
+    """Maximize the concentrated likelihood over [0, min(0.999, W.rho_max));
+    the Estimate carries observed-information standard errors and BIC."""
     s = np.linalg.svd(data.z, compute_uv=False)
     # with n < k the SVD sees only n singular values, all of which can be large
     if data.n < data.k or s[-1] < 1e-10 * s[0]:
@@ -95,8 +74,7 @@ def fit_ml(data: FslmData) -> MlEstimate:
 
     beta_hat = data.ols_pair[0] @ (1.0, -rho_hat)
     theta = Theta(beta=beta_hat, sigma2=sigma2_hat(rho_hat, data), rho=rho_hat)
-    return MlEstimate(theta, log_likelihood(theta, data), bic(theta, data),
-                      *_observed_info_std(theta, data))
+    return Estimate(theta, *_observed_info_std(theta, data), bic(theta, data))
 
 
 def _observed_info_std(theta: Theta, data: FslmData):

@@ -29,6 +29,7 @@ __all__ = [
     "FslmData",
     "PriorSpec",
     "Theta",
+    "Estimate",
     "log_likelihood",
     "sigma2_conditional_params",
     "beta_conditional_params",
@@ -129,6 +130,33 @@ class Theta:
         # evaluations reject it
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A fit's point estimate theta (ML maximizer or posterior mean), the
+    standard errors (ML) or posterior sds of beta, sigma2 and rho, its BIC,
+    and, for a chain, the acceptance rate after burn-in."""
+    theta: Theta
+    std_beta: np.ndarray
+    std_sigma2: float
+    std_rho: float
+    bic: float
+    acceptance_rate: float | None = None
+
+    def to_json_dict(self) -> dict:
+        entry = {
+            "beta_mean": self.theta.beta.tolist(),
+            "beta_std": self.std_beta.tolist(),
+            "sigma2_mean": self.theta.sigma2,
+            "sigma2_std": self.std_sigma2,
+            "rho_mean": self.theta.rho,
+            "rho_std": self.std_rho,
+            "bic": self.bic,
+        }
+        if self.acceptance_rate is not None:
+            entry["acceptance_rate"] = self.acceptance_rate
+        return entry
 
 
 def _gram_form(beta: np.ndarray, rho: float, data: FslmData) -> tuple[np.ndarray, float]:

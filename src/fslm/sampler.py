@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    Estimate,
     FslmData,
     PriorSpec,
     Theta,
@@ -31,7 +32,6 @@ from .model import (
 __all__ = [
     "MhConfig",
     "Chain",
-    "PosteriorSummary",
     "propose_rho",
     "adapt_tuning",
     "default_init",
@@ -54,8 +54,8 @@ class MhConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.burn_in < self.n_iter:
-            raise ValueError("need 0 <= burn_in < n_iter")
+        if not 0 <= self.burn_in < self.n_iter - 1:
+            raise ValueError("need 0 <= burn_in < n_iter - 1: two kept draws at least")
         if self.kernel not in ("normal", "uniform"):
             raise ValueError("kernel must be 'normal' or 'uniform'")
 
@@ -71,31 +71,6 @@ class Chain:
 
     def __len__(self) -> int:
         return self.draws_rho.shape[0]
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    mean: Theta
-    std_beta: np.ndarray
-    std_sigma2: float
-    std_rho: float
-    quantiles_beta: np.ndarray  # 3 x k, rows are 2.5/50/97.5%
-    quantiles_sigma2: np.ndarray
-    quantiles_rho: np.ndarray
-    acceptance_rate: float
-    bic: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta_mean": self.mean.beta.tolist(),
-            "beta_std": self.std_beta.tolist(),
-            "sigma2_mean": self.mean.sigma2,
-            "sigma2_std": self.std_sigma2,
-            "rho_mean": self.mean.rho,
-            "rho_std": self.std_rho,
-            "acceptance_rate": self.acceptance_rate,
-            "bic": self.bic,
-        }
 
 
 def propose_rho(rho_old: float, c: float, kernel: str, rng: np.random.Generator) -> float:
@@ -183,14 +158,13 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     )
 
 
-def summarize(chain: Chain, data: FslmData | None = None) -> PosteriorSummary:
-    """Posterior means, stds and quantiles over the draws after the chain's
-    burn-in; BIC at the posterior-mean parameters when data is given, NaN
-    otherwise."""
+def summarize(chain: Chain, data: FslmData | None = None) -> Estimate:
+    """Posterior means (as theta), sds and acceptance rate over the draws
+    after the chain's burn-in, of which there must be two at least; BIC at
+    the posterior mean when data is given, NaN otherwise."""
     burn_in = chain.burn_in
-    if burn_in >= len(chain):
-        raise ValueError("burn_in leaves no draws to summarize")
-    qs = (2.5, 50.0, 97.5)
+    if burn_in >= len(chain) - 1:
+        raise ValueError("burn_in must leave two draws at least to summarize")
     beta = chain.draws_beta[burn_in:]
     sigma2 = chain.draws_sigma2[burn_in:]
     rho = chain.draws_rho[burn_in:]
@@ -200,15 +174,11 @@ def summarize(chain: Chain, data: FslmData | None = None) -> PosteriorSummary:
         sigma2=float(sigma2.mean()),
         rho=float(rho.mean()),
     )
-    summary_bic = bic(mean, data) if data is not None else float("nan")
-    return PosteriorSummary(
-        mean=mean,
+    return Estimate(
+        theta=mean,
         std_beta=beta.std(axis=0, ddof=1),
         std_sigma2=float(sigma2.std(ddof=1)),
         std_rho=float(rho.std(ddof=1)),
-        quantiles_beta=np.percentile(beta, qs, axis=0),
-        quantiles_sigma2=np.percentile(sigma2, qs),
-        quantiles_rho=np.percentile(rho, qs),
+        bic=bic(mean, data) if data is not None else float("nan"),
         acceptance_rate=float(chain.accepted[burn_in:].mean()),
-        bic=summary_bic,
     )

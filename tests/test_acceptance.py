@@ -126,9 +126,9 @@ def test_criterion_2_brute_force_posterior():
     chain = run_mwg(data, prior, cfg)
     s = summarize(chain, data)
     mcmc_means = {
-        "rho": s.mean.rho,
-        "beta": float(s.mean.beta[0]),
-        "sigma2": s.mean.sigma2,
+        "rho": s.theta.rho,
+        "beta": float(s.theta.beta[0]),
+        "sigma2": s.theta.sigma2,
     }
     oks, details = [], []
     for key in grid_means:
@@ -147,7 +147,7 @@ def _recover_one(rho_true, rep, method):
     prior = PriorSpec.diffuse(7)
     cfg = MhConfig(n_iter=2_500, burn_in=1_000, kernel=method, seed=rep)
     s = summarize(run_mwg(ds.data, prior, cfg))
-    return s.mean.rho, s.mean.sigma2
+    return s.theta.rho, s.theta.sigma2
 
 
 def test_criterion_3_parameter_recovery():
@@ -268,14 +268,14 @@ def test_criterion_7_ml_baseline():
     cfg = MhConfig(n_iter=4_000, burn_in=1_500, seed=702)
     s = summarize(run_mwg(ds.data, prior, cfg))
     band_rho = 3 * (s.std_rho + est.std_rho)
-    ok_agree = abs(s.mean.rho - est.theta.rho) < band_rho and np.all(
-        np.abs(s.mean.beta - est.theta.beta) < 3 * (s.std_beta + est.std_beta)
+    ok_agree = abs(s.theta.rho - est.theta.rho) < band_rho and np.all(
+        np.abs(s.theta.beta - est.theta.beta) < 3 * (s.std_beta + est.std_beta)
     )
     report(
         "7 ML baseline",
         ok_noiseless and ok_grad and ok_agree,
         f"noiseless={ok_noiseless} grad={grad:.2e} "
-        f"bayes rho={s.mean.rho:.3f} ml rho={est.theta.rho:.3f}",
+        f"bayes rho={s.theta.rho:.3f} ml rho={est.theta.rho:.3f}",
     )
 
 

@@ -139,6 +139,30 @@ def test_table1_rows(tmp_path):
     assert "sd_rho" not in rows[0]
 
 
+def test_table1_rows_are_the_fits_estimates(tmp_path, monkeypatch):
+    import fslm.cli
+
+    estimates = []
+    real = fslm.cli._fit_one
+
+    def recording(*args):
+        estimate, chain = real(*args)
+        estimates.append(estimate)
+        return estimate, chain
+
+    monkeypatch.setattr(fslm.cli, "_fit_one", recording)
+    out = tmp_path / "t1"
+    assert run(["table1", "--rho-list", "0.3,0.5", "--replicates", "1", "--grid", "4x4",
+                "--basis-count", "4", "--n-iter", "300", "--burn-in", "100",
+                "--out", out]) == 0
+    with open(out / "table1.csv") as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) == len(estimates) == 2 * 3
+    for row, e in zip(rows, estimates):
+        assert [float(v) for v in row[2:]] == [*e.theta.beta, e.theta.sigma2,
+                                               e.theta.rho, e.bic]
+
+
 def test_table1_replicate_sd_columns(tmp_path):
     out = tmp_path / "t1r"
     run(
@@ -180,17 +204,18 @@ def test_table1_rho_outside_domain_exits_2_before_any_fit(tmp_path, monkeypatch,
 
 
 def test_bad_chain_counts_exit_2_before_any_work(bundle, tmp_path, capsys):
-    counts = ["--n-iter", "100", "--burn-in", "100"]
-    for name, argv in [
-        ("table1", ["table1", "--rho-list", "0.3", "--grid", "4x4", "--basis-count", "4"]),
-        ("fit", ["fit", "--data", bundle, "--method", "normal-kernel"]),
-    ]:
-        assert run(argv + counts + ["--out", tmp_path / name]) == 2
-        assert "burn_in < n_iter" in capsys.readouterr().err
-        assert not (tmp_path / name).exists()
-    # ML alone runs no chain, so it ignores the chain counts
-    assert run(["fit", "--data", bundle, "--method", "ml", *counts,
-                "--out", tmp_path / "ml"]) == 0
+    # a chain must keep two draws at least, or its sds are undefined
+    for counts in (["--n-iter", "100", "--burn-in", "100"], ["--n-iter", "2", "--burn-in", "1"]):
+        for name, argv in [
+            ("table1", ["table1", "--rho-list", "0.3", "--grid", "4x4", "--basis-count", "4"]),
+            ("fit", ["fit", "--data", bundle, "--method", "normal-kernel"]),
+        ]:
+            assert run(argv + counts + ["--out", tmp_path / name]) == 2
+            assert "burn_in < n_iter" in capsys.readouterr().err
+            assert not (tmp_path / name).exists()
+        # ML alone runs no chain, so it ignores the chain counts
+        assert run(["fit", "--data", bundle, "--method", "ml", *counts,
+                    "--out", tmp_path / "ml"]) == 0
 
 
 def test_moran_cli_path_graph(tmp_path, capsys):
@@ -557,7 +582,9 @@ def test_bundle_csv_without_its_header_exits_2(tmp_path, capsys, response, weigh
     lambda header: header.replace(",t=1,", ",x=1,", 1),
     lambda header: header.replace(",t=1,", ",t=nan,", 1),
     lambda header: header.replace(",t=1,", ",t=inf,", 1),
-], ids=["headerless", "unit-column", "x-field", "nan-t", "inf-t"])
+    lambda header: header.replace("t=0,t=1,", "t=1,t=0,", 1),
+    lambda header: header.replace(",t=1,", ",t=0,", 1),
+], ids=["headerless", "unit-column", "x-field", "nan-t", "inf-t", "unsorted-t", "repeated-t"])
 def test_curves_csv_without_its_header_exits_2(bundle, tmp_path, capsys, edit):
     data = tmp_path / "data"
     data.mkdir()
