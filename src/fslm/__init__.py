@@ -25,7 +25,6 @@ from .model import (
 from .sampler import (
     Chain,
     MhConfig,
-    adapt_tuning,
     propose_rho,
     run_mwg,
     summarize,

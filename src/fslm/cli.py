@@ -147,7 +147,14 @@ def cmd_simulate(args) -> int:
 def _load_bundle(data_dir: Path, basis_count: int) -> FslmData:
     t_grid, obs = fio.read_curves_csv(data_dir / "curves.csv")
     y = fio.read_response_csv(data_dir / "response.csv")
+    if len(obs) != y.size:
+        raise ValueError(f"{data_dir}: curves.csv has {len(obs)} rows "
+                         f"but response.csv has {y.size}")
+    _check_unit_count(y.size, basis_count)
     w = fio.read_weights_csv(data_dir / "weights.csv", n=y.size)
+    if not w.entries.any():
+        raise ValueError(f"{data_dir / 'weights.csv'} holds no links, "
+                         "so rho is not identified")
     basis = build_bspline_basis(t_grid[0], t_grid[-1], basis_count, 4)
     sample = smooth_curves(t_grid, obs, basis)
     return FslmData(y=y, z=sample.scores, w=w)

@@ -6,8 +6,9 @@ Metropolis step (normal or uniform kernel) of scale c.  The chain starts
 at rho = W.rho_max / 2, beta and sigma2 at their ML values there, and
 c = STEP_SCALE / sqrt(I), I the curvature of rho's log full conditional
 there.  Each burn-in block of min(100, burn_in // 10) iterations (at
-least one) adapts c toward ACCEPTANCE_BAND; then c is frozen.  Proposals
-off W's domain [0, W.rho_max) have zero density and are never accepted.
+least one) multiplies c by exp(block acceptance rate - TARGET_ACCEPTANCE)
+(Andrieu & Thoms 2008); then c is frozen.  Proposals off W's domain
+[0, W.rho_max) have zero density and are never accepted.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ __all__ = [
     "MhConfig",
     "Chain",
     "propose_rho",
-    "adapt_tuning",
     "default_init",
     "run_mwg",
     "summarize",
 ]
 
-# Block acceptance rates outside this band widen or shrink the step scale.
-ACCEPTANCE_BAND = (0.40, 0.60)
+# The burn-in steers each block's acceptance rate toward this value.
+TARGET_ACCEPTANCE = 0.5
 
 # Optimal 1-D random-walk step, in target sds (Roberts, Gelman & Gilks 1997, AAP 7:110).
 STEP_SCALE = 2.4
@@ -84,16 +84,6 @@ def propose_rho(rho_old: float, c: float, kernel: str, rng: np.random.Generator)
     raise ValueError("kernel must be 'normal' or 'uniform'")
 
 
-def adapt_tuning(c: float, block_acceptance: float) -> float:
-    """Widen or shrink the step scale by 10% if outside ACCEPTANCE_BAND."""
-    lo, hi = ACCEPTANCE_BAND
-    if block_acceptance > hi:
-        return c * 1.1
-    if block_acceptance < lo:
-        return c / 1.1
-    return c
-
-
 def default_init(data: FslmData) -> Theta:
     """rho = W.rho_max / 2, with beta and sigma2 at their ML values there."""
     rho = 0.5 * data.w.rho_max
@@ -118,7 +108,6 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     info = rho_information(sigma2, rho, data)
     c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
     block = min(100, max(1, config.burn_in // 10))
-    block_accepts = 0
 
     for j in range(config.n_iter):
         mean, cov = beta_conditional_params(sigma2, rho, data, prior)
@@ -136,7 +125,6 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         accept = np.log(rng.uniform()) < min(log_cond_new - log_cond_old, 0.0)
         if accept:
             rho = rho_new
-            block_accepts += 1
 
         draws_beta[j] = beta
         draws_sigma2[j] = sigma2
@@ -144,9 +132,8 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         accepted[j] = accept
 
         if j < config.burn_in and (j + 1) % block == 0:
-            c = adapt_tuning(c, block_accepts / block)
+            c *= np.exp(accepted[j + 1 - block:j + 1].mean() - TARGET_ACCEPTANCE)
             tuning_trace.append(c)
-            block_accepts = 0
 
     return Chain(
         draws_beta=draws_beta,

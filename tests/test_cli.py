@@ -333,18 +333,49 @@ def test_fit_ml_rank_one_design_exits_3(tmp_path, capsys):
     assert "rank deficient" in capsys.readouterr().err
 
 
-def test_fit_ml_fewer_units_than_coefficients_exits_3(tmp_path):
-    from fslm import grid_contiguity
-
+@pytest.mark.parametrize("side, basis_count", [(2, 7), (3, 9), (3, 8)],
+                         ids=["n<k", "n=k", "n=k+1"])
+def test_fit_too_few_units_exits_2(tmp_path, capsys, side, basis_count):
+    # a fit needs a unit per basis coefficient, one for sigma2 and one for rho
     rng = np.random.default_rng(0)
+    n = side * side
     bundle = tmp_path / "tiny"
     bundle.mkdir()
     t = np.arange(101.0)
-    fio.write_curves_csv(bundle / "curves.csv", t, rng.standard_normal((4, t.size)))
-    fio.write_response_csv(bundle / "response.csv", rng.standard_normal(4))
-    fio.write_weights_csv(bundle / "weights.csv", row_standardize(grid_contiguity(2, 2)))
+    fio.write_curves_csv(bundle / "curves.csv", t, rng.standard_normal((n, t.size)))
+    fio.write_response_csv(bundle / "response.csv", rng.standard_normal(n))
+    fio.write_weights_csv(bundle / "weights.csv", row_standardize(grid_contiguity(side, side)))
+    code = run(["fit", "--data", bundle, "--method", "ml", "--basis-count", basis_count,
+                "--out", tmp_path / "fit"])
+    assert code == 2
+    assert f"{n} units are too few" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_fit_unlinked_bundle_exits_2(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("i,j\n")
+    bundle = tmp_path / "unlinked"
+    with pytest.warns(UserWarning, match="zero-neighbor"):
+        assert run(["simulate", "--edges", edges, "--n-units", "20", "--out", bundle]) == 0
     code = run(["fit", "--data", bundle, "--method", "ml", "--out", tmp_path / "fit"])
-    assert code == 3
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "weights.csv" in err and "rho is not identified" in err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_fit_curves_and_response_row_counts_differ_exits_2(bundle, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("response.csv", "weights.csv"):
+        (data / name).write_bytes((bundle / name).read_bytes())
+    rows = (bundle / "curves.csv").read_text().splitlines(keepends=True)
+    (data / "curves.csv").write_text("".join(rows[:-1]))  # the last unit dropped
+    assert run(["fit", "--data", data, "--method", "ml", "--out", tmp_path / "fit"]) == 2
+    err = capsys.readouterr().err
+    assert "curves.csv has 120 rows" in err and "response.csv has 121" in err
+    assert not (tmp_path / "fit").exists()
 
 
 def test_moran_cli_negative_permutations(tmp_path):

@@ -10,7 +10,6 @@ from fslm import (
     MhConfig,
     PriorSpec,
     SimulationSpec,
-    adapt_tuning,
     grid_contiguity,
     make_dataset,
     propose_rho,
@@ -93,10 +92,12 @@ def test_acceptance_matches_normalized_density_ratio(small_problem):
         assert np.exp(lp) == pytest.approx(ratio, abs=1e-8)
 
 
-def test_adapt_tuning_rules():
-    assert adapt_tuning(0.1, 0.50) == 0.1
-    assert adapt_tuning(0.1, 0.80) == pytest.approx(0.11)
-    assert adapt_tuning(0.1, 0.10) == pytest.approx(0.1 / 1.1)
+def test_burn_in_scales_step_by_block_acceptance(small_problem):
+    cfg = MhConfig(n_iter=1100, burn_in=1000)
+    chain = run_mwg(*small_problem, cfg)
+    block_acceptance = chain.accepted[:cfg.burn_in].reshape(10, 100).mean(axis=1)
+    trace = chain.tuning_trace
+    assert np.array_equal(trace[1:], trace[:-1] * np.exp(block_acceptance[1:] - 0.5))
 
 
 def test_chain_determinism(small_problem):
@@ -159,15 +160,8 @@ def test_adaptation_freeze(small_problem, monkeypatch):
     assert np.all(np.array(steps[cfg.burn_in:]) == chain.tuning_trace[-1])
 
 
-def test_short_burn_in_adapts_ten_times(small_problem, monkeypatch):
-    import fslm.sampler
-
-    calls = []
-    real = fslm.sampler.adapt_tuning
-    monkeypatch.setattr(fslm.sampler, "adapt_tuning",
-                        lambda *args: calls.append(args) or real(*args))
+def test_short_burn_in_adapts_ten_times(small_problem):
     chain = run_mwg(*small_problem, MhConfig(n_iter=110, burn_in=100))
-    assert len(calls) == 10
     assert len(chain.tuning_trace) == 10  # the ten adapted blocks
 
 
@@ -298,6 +292,17 @@ def test_adaptation_reaches_band(small_problem):
         ar = float(chain.accepted[cfg.burn_in :].mean())
         in_band += 0.40 <= ar <= 0.60
     assert in_band >= 0.9 * runs
+
+
+@pytest.mark.parametrize("kernel", ["normal", "uniform"])
+def test_adaptation_reaches_band_at_high_rho(kernel):
+    # the posterior of rho sits far above the start at rho_max / 2
+    data = make_dataset(SimulationSpec(rho_true=0.9, seed=3)).data
+    prior = PriorSpec.diffuse(data.k)
+    for seed in range(3):
+        cfg = MhConfig(n_iter=5_000, burn_in=1_500, kernel=kernel, seed=seed)
+        chain = run_mwg(data, prior, cfg)
+        assert 0.40 <= chain.accepted[cfg.burn_in:].mean() <= 0.60
 
 
 @pytest.fixture(scope="module")
