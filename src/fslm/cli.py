@@ -41,6 +41,17 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("grid must look like ROWSxCOLS, e.g. 11x11")
 
 
+def _nonnegative_int(text) -> int:
+    """A seed or a count: refused while the flags parse, before any output."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {value}")
+    return value
+
+
 def _parse_rho_list(text: str) -> list[float]:
     vals = [float(v) for v in text.split(",") if v.strip() != ""]
     if not vals:
@@ -68,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic data bundle")
     sim.add_argument("--rho", type=float, default=0.5)
     sim.add_argument("--sigma2", type=float, default=1.0)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_nonnegative_int, default=0)
     sim.add_argument("--grid", type=_parse_grid, default=(11, 11))
     sim.add_argument("--edges", type=Path, help="edge-list CSV instead of a lattice")
     sim.add_argument("--n-units", type=int, help="unit count when using --edges")
@@ -83,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=METHODS + ["all"],
         default="normal-kernel",
     )
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=_nonnegative_int, default=0)
     fit.add_argument("--n-iter", type=int, default=20_000)
     fit.add_argument("--burn-in", type=int, default=5_000)
     fit.add_argument("--basis-count", type=int, default=7)
@@ -93,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab = sub.add_parser("table1", help="simulate and compare all methods per rho")
     tab.add_argument("--rho-list", type=_parse_rho_list, required=True)
     tab.add_argument("--replicates", type=int, default=1)
-    tab.add_argument("--seed", type=int, default=0)
+    tab.add_argument("--seed", type=_nonnegative_int, default=0)
     tab.add_argument("--grid", type=_parse_grid, default=(11, 11))
     tab.add_argument("--basis-count", type=int, default=7)
     tab.add_argument("--n-iter", type=int, default=5_000)
@@ -103,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     mor = sub.add_parser("moran", help="Moran's I permutation test")
     mor.add_argument("--response", type=Path, required=True)
     mor.add_argument("--weights", type=Path, required=True)
-    mor.add_argument("--permutations", type=int, default=999)
-    mor.add_argument("--seed", type=int, default=0)
+    mor.add_argument("--permutations", type=_nonnegative_int, default=999)
+    mor.add_argument("--seed", type=_nonnegative_int, default=0)
     return parser
 
 
@@ -288,14 +299,19 @@ def _config_value(action, value, where):
     """Check a config value's JSON type against its flag: a boolean for a
     switch, else a string (argparse converts string defaults with type=)
     or, for an int or float flag, a number; bool subclasses int."""
-    numeric = {int: (int,), float: (int, float)}.get(action.type, ())
+    numeric = {int: (int,), _nonnegative_int: (int,), float: (int, float)}.get(action.type, ())
     allowed = (bool,) if action.nargs == 0 else (str,) + numeric
     if isinstance(value, bool) != (allowed == (bool,)) or not isinstance(value, allowed):
         names = " or ".join(JSON_TYPES[t] for t in allowed)
         raise ValueError(f"{where} must be a JSON {names}, not {json.dumps(value)}")
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"{where} must be one of {', '.join(action.choices)}")
-    return action.type(value) if numeric and not isinstance(value, str) else value
+    if not numeric or isinstance(value, str):
+        return value
+    try:
+        return action.type(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{where} {exc}") from None
 
 
 def main(argv=None) -> int:

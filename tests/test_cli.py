@@ -378,14 +378,56 @@ def test_fit_curves_and_response_row_counts_differ_exits_2(bundle, tmp_path, cap
     assert not (tmp_path / "fit").exists()
 
 
-def test_moran_cli_negative_permutations(tmp_path):
+def test_moran_cli_negative_permutations(tmp_path, capsys):
     w = weights_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     fio.write_response_csv(tmp_path / "resp.csv", np.arange(4.0))
     fio.write_weights_csv(tmp_path / "w.csv", w)
-    assert run(
-        ["moran", "--response", tmp_path / "resp.csv", "--weights", tmp_path / "w.csv",
-         "--permutations", "-1"]
-    ) == 2
+    # refused while the flags parse, so argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        run(["moran", "--response", tmp_path / "resp.csv", "--weights", tmp_path / "w.csv",
+             "--permutations", "-1"])
+    assert exc.value.code == 2
+    assert "--permutations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "table1", "moran"])
+def test_negative_seed_exits_2_naming_the_flag_before_any_output(bundle, tmp_path,
+                                                                  capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--out", out],
+        "fit": ["fit", "--data", bundle, "--method", "all", "--out", out],
+        "table1": ["table1", "--rho-list", "0.5", "--out", out],
+        "moran": ["moran", "--response", bundle / "response.csv",
+                  "--weights", bundle / "weights.csv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [-1, "-1"])
+def test_config_negative_seed_exits_2_naming_the_key(bundle, tmp_path, capsys, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": value}))
+    out = tmp_path / "out"
+    try:
+        code = run(["--config", config, "fit", "--data", bundle, "--method", "all",
+                    "--out", out])
+    except SystemExit as exc:  # a string value is converted by argparse
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "must be a nonnegative integer" in err
+    assert not out.exists()
+
+
+def test_moran_cli_zero_permutations(bundle, capsys):
+    assert run(["moran", "--response", bundle / "response.csv",
+                "--weights", bundle / "weights.csv", "--permutations", "0"]) == 0
+    assert "p_value=1 (0 permutations)" in capsys.readouterr().out
 
 
 def test_table1_zero_replicates(tmp_path):

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from fslm import (
     row_standardize,
     weights_from_edges,
 )
-from fslm.spatial import SpatialWeights
+from fslm import spatial
+from fslm.spatial import MORAN_BLOCK_VALUES, MoranResult, SpatialWeights
 
 
 def test_single_edge():
@@ -277,3 +279,87 @@ def test_rho_max_of_binary_rook_lattice():
 
 def test_rho_max_of_zero_weights_is_one():
     assert SpatialWeights(n=5, entries=np.zeros((5, 5))).rho_max == 1.0
+
+
+def moran_one_permutation_at_a_time(values, w, n_permutations, seed):
+    """Reference: each permutation drawn by rng.permutation and tested alone."""
+    n = w.n
+    z = np.asarray(values, dtype=float) - np.mean(values)
+    s0 = w.entries.sum()
+
+    def stat(zv):
+        return (n / s0) * (zv @ w.entries @ zv) / (zv @ zv)
+
+    observed = stat(z)
+    expected = -1.0 / (n - 1)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_permutations):
+        perm = rng.permutation(z)
+        if abs(stat(perm) - expected) >= abs(observed - expected) - 1e-15:
+            hits += 1
+    return MoranResult(statistic=float(observed), expected=expected,
+                       p_value=float((hits + 1) / (n_permutations + 1)),
+                       n_permutations=n_permutations)
+
+
+def nearest_neighbour_weights(n_points=45, k=4, seed=0):
+    """Row-standardized, asymmetric k-nearest-neighbour W on random points."""
+    points = np.random.default_rng(seed).random((n_points, 2))
+    dist = np.linalg.norm(points[:, None] - points[None], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    c = np.zeros((n_points, n_points))
+    np.put_along_axis(c, np.argsort(dist, axis=1)[:, :k], 1.0, axis=1)
+    return row_standardize(SpatialWeights(n=n_points, entries=c))
+
+
+def test_permuted_rows_are_successive_permutations():
+    z = np.random.default_rng(1).standard_normal(484)
+    one, block = np.random.default_rng(5), np.random.default_rng(5)
+    assert np.array_equal(np.stack([one.permutation(z) for _ in range(50)]),
+                          block.permuted(np.broadcast_to(z, (50, 484)), axis=1))
+
+
+@pytest.mark.parametrize("case", ["path3", "cycle4-ties", "knn45"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_moran_blocks_match_one_permutation_at_a_time(case, seed):
+    rng = np.random.default_rng(100 + seed)
+    if case == "path3":
+        w, values = weights_from_edges(3, [(0, 1), (1, 2)]), rng.standard_normal(3)
+    elif case == "cycle4-ties":
+        w = weights_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        values = np.array([0.0, 1.0, 1.0, 2.0])[rng.permutation(4)]
+    else:
+        w = nearest_neighbour_weights()
+        assert not np.array_equal(w.entries, w.entries.T)
+        values = rng.integers(0, 3, w.n).astype(float)
+    for n_permutations in (0, 1, 99, 999):
+        assert morans_i(values, w, n_permutations, seed) == \
+            moran_one_permutation_at_a_time(values, w, n_permutations, seed)
+
+
+@pytest.mark.parametrize("n_permutations", [0, 1, 134, 135, 136])
+def test_moran_blocks_match_at_the_block_edge(n_permutations):
+    w = row_standardize(grid_contiguity(22, 22))
+    assert MORAN_BLOCK_VALUES // w.n == 135
+    values = np.random.default_rng(7).standard_normal(w.n)
+    assert morans_i(values, w, n_permutations, 3) == \
+        moran_one_permutation_at_a_time(values, w, n_permutations, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=symmetric_graphs(), data=st.data(),
+       n_permutations=st.integers(0, 60), seed=st.integers(0, 2**32 - 1),
+       block_values=st.sampled_from([1, 7, 40, MORAN_BLOCK_VALUES]))
+def test_moran_blocks_match_on_any_graph(w, data, n_permutations, seed, block_values):
+    assume(w.n >= 3 and w.entries.sum() > 0)
+    ties = st.integers(-2, 2).map(float)
+    # no subnormal z'z, where the statistic is rounding alone
+    spread = st.floats(-100, 100).filter(lambda v: v == 0 or abs(v) >= 1e-3)
+    values = np.array(data.draw(st.lists(ties | spread, min_size=w.n, max_size=w.n)))
+    z = values - values.mean()
+    assume(z @ z > 0)
+    # small blocks put block edges inside the drawn permutation counts
+    with mock.patch.object(spatial, "MORAN_BLOCK_VALUES", block_values):
+        batched = morans_i(values, w, n_permutations, seed)
+    assert batched == moran_one_permutation_at_a_time(values, w, n_permutations, seed)
