@@ -219,10 +219,12 @@ def rho_log_conditional(rho: float, beta: np.ndarray, sigma2: float, data: FslmD
         return -np.inf
 
 
-def sigma2_hat(rho: float, data: FslmData) -> float:
-    """ML sigma2 at fixed rho: ||E (1, -rho)||^2 / n, E from ols_pair."""
-    e = data.ols_pair[1] @ (1.0, -rho)
-    return float(e @ e) / data.n
+def sigma2_hat(rho, data: FslmData):
+    """ML sigma2 at fixed rho, one per rho of an array: ||E (1, -rho)||^2 / n."""
+    e = (data.ols_pair[1] @ np.array((np.ones_like(rho), np.negative(rho)))).T
+    # a row-by-row matmul keeps a scalar rho's sum the bits of e @ e
+    s2 = (e[..., None, :] @ e[..., :, None])[..., 0, 0] / data.n
+    return float(s2) if s2.ndim == 0 else s2
 
 
 def rho_information(sigma2: float, rho: float, data: FslmData) -> float:

@@ -143,20 +143,25 @@ def row_standardize(w: SpatialWeights) -> SpatialWeights:
     )
 
 
-def log_det_A(w: SpatialWeights, rho: float) -> float:
+def log_det_A(w: SpatialWeights, rho):
     """ln|det(I - rho*W)| = sum_i ln|1 - rho*lambda_i| from W's cached
-    eigenvalues; errors if det <= 0."""
+    eigenvalues.  An array of rho gives one log-det per value, from one
+    log-sum over the (rho, lambda) products; a scalar rho gives a float.
+    Errors, naming the first such rho, if a det is zero or negative."""
     lam = w.eigenvalues
-    terms = 1.0 - rho * lam
+    terms = 1.0 - np.multiply.outer(rho, lam)
     size = np.abs(terms)
-    if np.any(size <= EIG_RTOL):
-        raise np.linalg.LinAlgError(f"I - rho*W singular at rho={rho}")
     # a conjugate pair contributes |1 - rho*lambda|^2 > 0, so only the
     # real eigenvalues set the sign of det
-    real = terms if np.isrealobj(lam) else terms[lam.imag == 0].real
-    if np.count_nonzero(real < 0) % 2:
-        raise np.linalg.LinAlgError(f"det(I - rho*W) not positive at rho={rho}")
-    return float(np.sum(np.log(size)))
+    real = terms if np.isrealobj(lam) else terms[..., lam.imag == 0].real
+    # inside rho's domain every factor is positive: check per rho only if not
+    if (size <= EIG_RTOL).any() or (real < 0).any():
+        bad = (size <= EIG_RTOL).any(axis=-1) | ((real < 0).sum(axis=-1) % 2 == 1)
+        if bad.any():
+            raise np.linalg.LinAlgError(
+                f"det(I - rho*W) not positive at rho={np.ravel(rho)[np.argmax(bad)]}")
+    log_det = np.log(size).sum(axis=-1)
+    return float(log_det) if log_det.ndim == 0 else log_det
 
 
 def morans_i(
@@ -191,8 +196,10 @@ def morans_i(
         raise ValueError("n_permutations must be nonnegative")
     z = values - values.mean()
     denom = z @ z
-    if denom == 0:
-        raise ValueError("values are constant; Moran's I undefined")
+    # z'z below the smallest normal float has too few significant bits
+    if denom < np.finfo(float).tiny:
+        raise ValueError("values are constant; Moran's I undefined" if np.ptp(values) == 0
+                         else "the values' spread is too small to compute Moran's I")
     s0 = w.entries.sum()
     if s0 == 0:
         raise ValueError("weight matrix has no links; Moran's I undefined")

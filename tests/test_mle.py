@@ -13,6 +13,8 @@ from fslm import (
     weights_from_edges,
 )
 from fslm.mle import concentrated_loglik
+from fslm.model import sigma2_hat
+from test_spatial import nearest_neighbour_weights
 
 
 def finite_difference_std(theta, data):
@@ -96,7 +98,7 @@ def test_scalar_slm_matches_grid_search():
     data = FslmData(y=y, z=z, w=w)
     est = fit_ml(data)
     grid = np.linspace(0, 0.999, 10_000)
-    vals = [concentrated_loglik(r, data) for r in grid]
+    vals = concentrated_loglik(grid, data)
     rho_grid = grid[int(np.argmax(vals))]
     assert est.theta.rho == pytest.approx(rho_grid, abs=1e-3)
 
@@ -149,3 +151,26 @@ def test_search_stays_inside_stability_interval_of_binary_weights():
     est = fit_ml(ds.data)
     assert 0.0 <= est.theta.rho < w.rho_max < 0.2589
     assert est.theta.rho == pytest.approx(0.15, abs=0.05)
+
+
+@pytest.mark.parametrize("w", [row_standardize(grid_contiguity(11, 11)),
+                               row_standardize(grid_contiguity(22, 22)),
+                               nearest_neighbour_weights(45)],
+                         ids=["11x11", "22x22", "nearest-neighbour"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_array_scan_matches_the_scalar_loop(w, seed):
+    data = make_dataset(SimulationSpec(seed=seed), w).data
+    grid = np.linspace(0.0, min(0.999, w.rho_max * (1 - 1e-9)), 200)
+    s2 = np.array([sigma2_hat(rho, data) for rho in grid])
+    np.testing.assert_allclose(sigma2_hat(grid, data), s2, rtol=1e-14, atol=0)
+    looped = np.array([concentrated_loglik(rho, data) for rho in grid])
+    vals = concentrated_loglik(grid, data)
+    # l_c crosses 0 on some grids, so its rounding is bounded on the scale
+    # of the (n/2) ln sigma2 term, not of l_c itself
+    np.testing.assert_allclose(vals, looped, rtol=1e-14, atol=1e-14 * data.n)
+    assert np.argmax(vals) == np.argmax(looped)
+
+
+def test_sigma2_hat_of_a_scalar_is_a_float():
+    data = make_dataset(SimulationSpec(seed=0)).data
+    assert type(sigma2_hat(0.5, data)) is float

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import trapezoid
 
 from fslm import (
     Chain,
@@ -79,12 +80,12 @@ def test_acceptance_matches_normalized_density_ratio(small_problem):
     grid = np.linspace(0, 1, 20_001)
     logs = np.array([rho_log_conditional(r, beta, sigma2, data) for r in grid])
     dens = np.exp(logs - logs.max())
-    dens /= np.trapezoid(dens, grid)
+    dens /= trapezoid(dens, grid)
 
     def norm_dens(r):
         return np.exp(
             rho_log_conditional(r, beta, sigma2, data) - logs.max()
-        ) / np.trapezoid(np.exp(logs - logs.max()), grid)
+        ) / trapezoid(np.exp(logs - logs.max()), grid)
 
     for r_new, r_old in [(0.6, 0.3), (0.1, 0.8)]:
         lp = log_accept(r_new, r_old, beta, sigma2, data)

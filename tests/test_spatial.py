@@ -140,8 +140,15 @@ def test_moran_degenerate_inputs():
     with pytest.raises(ValueError):
         morans_i(np.array([1.0, 2.0, 3.0, 4.0]), w, 9, 0)  # S0 = 0
     w2 = weights_from_edges(4, [(0, 1)])
-    with pytest.raises(ValueError):
-        morans_i(np.ones(4), w2, 9, 0)  # constant values
+    with pytest.raises(ValueError, match="constant"):
+        morans_i(np.ones(4), w2, 9, 0)
+
+
+def test_moran_tiny_spread_is_not_called_constant():
+    # z'z = 2.1e-588 underflows to 0, although the values differ
+    w = weights_from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="spread is too small"):
+        morans_i(np.array([0.0, 0.0, 1.78e-294]), w, 9, 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -279,6 +286,51 @@ def test_rho_max_of_binary_rook_lattice():
 
 def test_rho_max_of_zero_weights_is_one():
     assert SpatialWeights(n=5, entries=np.zeros((5, 5))).rho_max == 1.0
+
+
+def nearest_neighbour_weights(n, k=4, seed=0):
+    """Row-standardized k-nearest-neighbour W on n random points in the
+    unit square: asymmetric, with complex eigenvalues."""
+    points = np.random.default_rng(seed).random((n, 2))
+    dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    c = np.zeros((n, n))
+    np.put_along_axis(c, np.argsort(dist, axis=1)[:, :k], 1.0, axis=1)
+    return row_standardize(SpatialWeights(n=n, entries=c))
+
+
+@pytest.mark.parametrize("w", [row_standardize(grid_contiguity(11, 11)),
+                               nearest_neighbour_weights(45)],
+                         ids=["lattice", "nearest-neighbour"])
+def test_log_det_of_an_array_is_the_scalar_loop(w):
+    grid = np.linspace(0.0, w.rho_max * (1 - 1e-9), 200)
+    looped = np.array([log_det_A(w, rho) for rho in grid])
+    assert np.array_equal(log_det_A(w, grid), looped)
+
+
+def test_nearest_neighbour_weights_have_complex_eigenvalues():
+    w = nearest_neighbour_weights(45)
+    assert not np.allclose(w.entries, w.entries.T)
+    assert np.iscomplexobj(w.eigenvalues)
+
+
+def test_log_det_of_a_scalar_is_a_float():
+    w = row_standardize(grid_contiguity(11, 11))
+    assert type(log_det_A(w, 0.5)) is float
+    assert type(log_det_A(w, np.float64(0.5))) is float
+
+
+def test_log_det_of_an_array_names_the_singular_rho():
+    w = weights_from_edges(2, [(0, 1)])  # eigenvalues -1 and 1
+    with pytest.raises(np.linalg.LinAlgError, match=r"not positive at rho=1\.0$"):
+        log_det_A(w, np.array([0.1, 0.5, 1.0, 0.25]))
+
+
+def test_log_det_of_an_array_names_the_rho_with_negative_det():
+    # directed 3-cycle: det(I - rho*W) = 1 - rho^3 < 0 at rho = 1.5
+    w = SpatialWeights(n=3, entries=np.roll(np.eye(3), 1, axis=1))
+    with pytest.raises(np.linalg.LinAlgError, match=r"not positive at rho=1\.5$"):
+        log_det_A(w, np.array([0.5, -2.0, 1.5, 0.9]))
 
 
 def moran_one_permutation_at_a_time(values, w, n_permutations, seed):
