@@ -11,7 +11,7 @@ command, with OPENBLAS_NUM_THREADS=1:
   simulate   an 11x11 lattice, a 22x22 lattice and an --edges graph
   fit        --method all on the 11x11 and --edges bundles, ML on 22x22
   table1     three rho values x two replicates
-  moran      on the 11x11 bundle
+  moran      on the 11x11 bundle (dense scorer) and the 22x22 (pair scorer)
 
 Every output file, and every command's exit code and standard output, is
 reported as identical, as numerically different (same text around the
@@ -47,6 +47,8 @@ COMMANDS = [
      "--n-iter", "600", "--burn-in", "200", "--out", "table1"],
     ["moran", "--response", "sim11/response.csv", "--weights", "sim11/weights.csv",
      "--permutations", "999", "--seed", "5"],
+    ["moran", "--response", "sim22/response.csv", "--weights", "sim22/weights.csv",
+     "--permutations", "999", "--seed", "6"],
 ]
 
 # A ring of 40 units with chords to the unit 7 places on: not a lattice,

@@ -167,9 +167,13 @@ def _gram_form(beta: np.ndarray, rho: float, data: FslmData) -> tuple[np.ndarray
     return gv, max(float(v @ gv), 0.0)
 
 
-def _log_kernel(beta: np.ndarray, sigma2: float, rho: float, data: FslmData) -> float:
-    """ln|I - rho*W| - v'Gv/(2 sigma2); raises LinAlgError where det <= 0."""
-    return log_det_A(data.w, rho) - 0.5 * _gram_form(beta, rho, data)[1] / sigma2
+def _log_kernel(beta: np.ndarray, sigma2: float, rho: float, data: FslmData,
+                log_det: float | None = None) -> float:
+    """ln|I - rho*W| - v'Gv/(2 sigma2), with ln|I - rho*W| = log_det when
+    given; raises LinAlgError where det <= 0."""
+    if log_det is None:
+        log_det = log_det_A(data.w, rho)
+    return log_det - 0.5 * _gram_form(beta, rho, data)[1] / sigma2
 
 
 def log_likelihood(theta: Theta, data: FslmData) -> float:

@@ -8,7 +8,10 @@ c = STEP_SCALE / sqrt(I), I the curvature of rho's log full conditional
 there.  Each burn-in block of min(100, burn_in // 10) iterations (at
 least one) multiplies c by exp(block acceptance rate - TARGET_ACCEPTANCE)
 (Andrieu & Thoms 2008); then c is frozen.  Proposals off W's domain
-[0, W.rho_max) have zero density and are never accepted.
+[0, W.rho_max) have zero density and are never accepted.  The current
+rho's ln|I - rho*W| is kept between iterations and recomputed only when a
+proposal is accepted, so an iteration costs 1 + (acceptance rate)
+log-determinants.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .model import (
     FslmData,
     PriorSpec,
     Theta,
+    _log_kernel,
     bic,
     beta_conditional_params,
     rho_information,
@@ -29,6 +33,7 @@ from .model import (
     sigma2_conditional_params,
     sigma2_hat,
 )
+from .spatial import log_det_A
 
 __all__ = [
     "MhConfig",
@@ -108,6 +113,7 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     info = rho_information(sigma2, rho, data)
     c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
     block = min(100, max(1, config.burn_in // 10))
+    log_det = log_det_A(data.w, rho)
 
     for j in range(config.n_iter):
         mean, cov = beta_conditional_params(sigma2, rho, data, prior)
@@ -116,8 +122,8 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         shape, scale = sigma2_conditional_params(beta, rho, data, prior)
         sigma2 = scale / rng.gamma(shape)
 
-        # beta and sigma2 changed, so the current rho's conditional is recomputed
-        log_cond_old = rho_log_conditional(rho, beta, sigma2, data)
+        # beta and sigma2 changed, but the current rho's log-det did not
+        log_cond_old = _log_kernel(beta, sigma2, rho, data, log_det)
 
         rho_new = propose_rho(rho, c, config.kernel, rng)
         # -inf off W's domain, so such a proposal is never accepted
@@ -125,6 +131,7 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         accept = np.log(rng.uniform()) < min(log_cond_new - log_cond_old, 0.0)
         if accept:
             rho = rho_new
+            log_det = log_det_A(data.w, rho)
 
         draws_beta[j] = beta
         draws_sigma2[j] = sigma2

@@ -20,8 +20,13 @@ from fslm import (
     summarize,
     weights_from_edges,
 )
-from fslm.model import sigma2_hat
-from fslm.sampler import default_init
+from fslm.model import (
+    beta_conditional_params,
+    rho_information,
+    sigma2_conditional_params,
+    sigma2_hat,
+)
+from fslm.sampler import STEP_SCALE, TARGET_ACCEPTANCE, default_init
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +199,66 @@ def test_unlinked_weights_start_the_step_at_rho_max(monkeypatch):
     data = FslmData(y=y, z=z, w=weights_from_edges(20, []))
     run_mwg(data, PriorSpec.diffuse(2), MhConfig(n_iter=5, burn_in=1))
     assert steps[0] == data.w.rho_max
+
+
+def chain_with_two_log_dets_per_iteration(data, prior, config):
+    """Reference: run_mwg's iteration with the current rho's conditional,
+    log-det included, recomputed after every beta and sigma2 draw."""
+    rng = np.random.default_rng(config.seed)
+    theta = default_init(data)
+    draws_beta = np.empty((config.n_iter, data.k))
+    draws_sigma2 = np.empty(config.n_iter)
+    draws_rho = np.empty(config.n_iter)
+    accepted = np.zeros(config.n_iter, dtype=bool)
+    tuning_trace = []
+    beta, sigma2, rho = theta.beta, theta.sigma2, theta.rho
+    info = rho_information(sigma2, rho, data)
+    c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
+    block = min(100, max(1, config.burn_in // 10))
+    for j in range(config.n_iter):
+        mean, cov = beta_conditional_params(sigma2, rho, data, prior)
+        beta = mean + np.linalg.cholesky(cov) @ rng.standard_normal(data.k)
+        shape, scale = sigma2_conditional_params(beta, rho, data, prior)
+        sigma2 = scale / rng.gamma(shape)
+        log_cond_old = rho_log_conditional(rho, beta, sigma2, data)
+        rho_new = propose_rho(rho, c, config.kernel, rng)
+        log_cond_new = rho_log_conditional(rho_new, beta, sigma2, data)
+        accept = np.log(rng.uniform()) < min(log_cond_new - log_cond_old, 0.0)
+        if accept:
+            rho = rho_new
+        draws_beta[j], draws_sigma2[j], draws_rho[j], accepted[j] = beta, sigma2, rho, accept
+        if j < config.burn_in and (j + 1) % block == 0:
+            c *= np.exp(accepted[j + 1 - block:j + 1].mean() - TARGET_ACCEPTANCE)
+            tuning_trace.append(c)
+    return draws_beta, draws_sigma2, draws_rho, accepted, np.asarray(tuning_trace)
+
+
+@pytest.mark.parametrize("kernel", ["normal", "uniform"])
+def test_kept_log_det_gives_the_two_log_det_chain(kernel):
+    data = make_dataset(SimulationSpec(lattice_rows=6, lattice_cols=6, seed=4)).data
+    prior = PriorSpec.diffuse(data.k)
+    cfg = MhConfig(n_iter=600, burn_in=200, kernel=kernel, seed=6)
+    chain = run_mwg(data, prior, cfg)
+    reference = chain_with_two_log_dets_per_iteration(data, prior, cfg)
+    assert 0 < chain.accepted.sum() < cfg.n_iter
+    for got, want in zip((chain.draws_beta, chain.draws_sigma2, chain.draws_rho,
+                          chain.accepted, chain.tuning_trace), reference):
+        assert np.array_equal(got, want)
+
+
+def test_log_det_computed_once_per_iteration_and_accepted_move(small_problem, monkeypatch):
+    import fslm.model
+    import fslm.sampler
+
+    calls = []
+    real = fslm.sampler.log_det_A
+    for module in (fslm.model, fslm.sampler):
+        monkeypatch.setattr(module, "log_det_A",
+                            lambda w, rho: calls.append(rho) or real(w, rho))
+    cfg = MhConfig(n_iter=1000, burn_in=300, seed=8)
+    chain = run_mwg(*small_problem, cfg)
+    assert 0 < chain.accepted.sum() < cfg.n_iter
+    assert len(calls) <= 1 + cfg.n_iter + chain.accepted.sum()
 
 
 @pytest.fixture(scope="module")

@@ -355,14 +355,14 @@ def moran_one_permutation_at_a_time(values, w, n_permutations, seed):
                        n_permutations=n_permutations)
 
 
-def nearest_neighbour_weights(n_points=45, k=4, seed=0):
-    """Row-standardized, asymmetric k-nearest-neighbour W on random points."""
-    points = np.random.default_rng(seed).random((n_points, 2))
-    dist = np.linalg.norm(points[:, None] - points[None], axis=2)
-    np.fill_diagonal(dist, np.inf)
-    c = np.zeros((n_points, n_points))
-    np.put_along_axis(c, np.argsort(dist, axis=1)[:, :k], 1.0, axis=1)
-    return row_standardize(SpatialWeights(n=n_points, entries=c))
+def morans_i_by_each_scorer(values, w, n_permutations, seed):
+    """morans_i's results with permutations scored by the dense product
+    with W and over W's linked pairs, whatever W's density."""
+    results = []
+    for ratio in (np.inf, 0):
+        with mock.patch.object(spatial, "MORAN_PAIRS_RATIO", ratio):
+            results.append(morans_i(values, w, n_permutations, seed))
+    return results
 
 
 def test_permuted_rows_are_successive_permutations():
@@ -372,7 +372,8 @@ def test_permuted_rows_are_successive_permutations():
                           block.permuted(np.broadcast_to(z, (50, 484)), axis=1))
 
 
-@pytest.mark.parametrize("case", ["path3", "cycle4-ties", "knn45"])
+@pytest.mark.parametrize(
+    "case", ["path3", "cycle4-ties", "knn45", "lattice22-ties", "one-way-ties"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_moran_blocks_match_one_permutation_at_a_time(case, seed):
     rng = np.random.default_rng(100 + seed)
@@ -381,13 +382,25 @@ def test_moran_blocks_match_one_permutation_at_a_time(case, seed):
     elif case == "cycle4-ties":
         w = weights_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         values = np.array([0.0, 1.0, 1.0, 2.0])[rng.permutation(4)]
-    else:
-        w = nearest_neighbour_weights()
+    elif case == "knn45":
+        w = nearest_neighbour_weights(45)
         assert not np.array_equal(w.entries, w.entries.T)
         values = rng.integers(0, 3, w.n).astype(float)
+    elif case == "lattice22-ties":
+        w = row_standardize(grid_contiguity(22, 22))
+        values = rng.integers(0, 2, w.n).astype(float)
+    else:
+        # a directed 12-cycle (w_ij > 0 = w_ji) with two links both ways,
+        # one of them of unequal weights
+        c = np.roll(np.eye(12), 1, axis=1)
+        c[0, 6] = c[6, 0] = 1.0
+        c[3, 9], c[9, 3] = 0.5, 2.0
+        w = SpatialWeights(n=12, entries=c)
+        assert np.count_nonzero((c > 0) & (c.T == 0)) == 12
+        values = rng.integers(0, 3, w.n).astype(float)
     for n_permutations in (0, 1, 99, 999):
-        assert morans_i(values, w, n_permutations, seed) == \
-            moran_one_permutation_at_a_time(values, w, n_permutations, seed)
+        reference = moran_one_permutation_at_a_time(values, w, n_permutations, seed)
+        assert morans_i_by_each_scorer(values, w, n_permutations, seed) == [reference] * 2
 
 
 @pytest.mark.parametrize("n_permutations", [0, 1, 134, 135, 136])
@@ -395,8 +408,8 @@ def test_moran_blocks_match_at_the_block_edge(n_permutations):
     w = row_standardize(grid_contiguity(22, 22))
     assert MORAN_BLOCK_VALUES // w.n == 135
     values = np.random.default_rng(7).standard_normal(w.n)
-    assert morans_i(values, w, n_permutations, 3) == \
-        moran_one_permutation_at_a_time(values, w, n_permutations, 3)
+    reference = moran_one_permutation_at_a_time(values, w, n_permutations, 3)
+    assert morans_i_by_each_scorer(values, w, n_permutations, 3) == [reference] * 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -413,5 +426,5 @@ def test_moran_blocks_match_on_any_graph(w, data, n_permutations, seed, block_va
     assume(z @ z > 0)
     # small blocks put block edges inside the drawn permutation counts
     with mock.patch.object(spatial, "MORAN_BLOCK_VALUES", block_values):
-        batched = morans_i(values, w, n_permutations, seed)
-    assert batched == moran_one_permutation_at_a_time(values, w, n_permutations, seed)
+        batched = morans_i_by_each_scorer(values, w, n_permutations, seed)
+    assert batched == [moran_one_permutation_at_a_time(values, w, n_permutations, seed)] * 2
