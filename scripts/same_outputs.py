@@ -1,23 +1,26 @@
 """Run one fixed set of fslm commands on two source trees and compare
 every file they write.
 
-    python scripts/same_outputs.py --against <rev>
+    python scripts/same_outputs.py --against <rev> [--rtol X]
 
 The two trees are the working tree this script sits in and <rev>, which
 `git archive` extracts into a temporary directory.  Each tree runs the
 same commands through its own `fslm.cli.main`, one interpreter per
 command, with OPENBLAS_NUM_THREADS=1:
 
-  simulate   an 11x11 lattice, a 22x22 lattice and an --edges graph
+  simulate   an 11x11 lattice, a 22x22 lattice and two --edges graphs,
+             one bipartite and one with odd cycles
   fit        --method all on the 11x11 and --edges bundles, ML on 22x22
   table1     three rho values x two replicates
   moran      on the 11x11 bundle (dense scorer) and the 22x22 (pair scorer)
 
 Every output file, and every command's exit code and standard output, is
-reported as identical, as numerically different (same text around the
-numbers; the largest absolute and relative difference is printed), or
-as different.  The script exits 0 only when every command succeeds on
-both trees and every output is byte-identical.  Bits can differ between numpy and BLAS builds, so the
+reported as identical, as close (same text around the numbers, which all
+agree within --rtol), as numerically different (the largest absolute and
+relative difference is printed), or as different.  The script exits 0
+only when every command succeeds on both trees and every output is
+identical or close; the default --rtol 0 asks for byte-identical
+outputs.  Bits can differ between numpy and BLAS builds, so the
 comparison is between two trees on one machine, not against stored
 files.
 """
@@ -39,9 +42,12 @@ COMMANDS = [
     ["simulate", "--grid", "11x11", "--seed", "1", "--out", "sim11"],
     ["simulate", "--grid", "22x22", "--rho", "0.7", "--seed", "2", "--out", "sim22"],
     ["simulate", "--edges", "../edges.csv", "--rho", "0.3", "--seed", "3", "--out", "sim-edges"],
+    ["simulate", "--edges", "../edges-odd.csv", "--rho", "0.3", "--seed", "7",
+     "--out", "sim-odd"],
     ["fit", "--data", "sim11", "--method", "all", *CHAIN, "--out", "fit11"],
     ["fit", "--data", "sim-edges", "--method", "all", *CHAIN, "--seed", "4",
      "--out", "fit-edges"],
+    ["fit", "--data", "sim-odd", "--method", "all", *CHAIN, "--seed", "8", "--out", "fit-odd"],
     ["fit", "--data", "sim22", "--method", "ml", "--out", "fit22"],
     ["table1", "--rho-list", "0.3,0.5,0.7", "--replicates", "2",
      "--n-iter", "600", "--burn-in", "200", "--out", "table1"],
@@ -51,9 +57,16 @@ COMMANDS = [
      "--permutations", "999", "--seed", "6"],
 ]
 
-# A ring of 40 units with chords to the unit 7 places on: not a lattice,
-# and every unit has 4 neighbours.
-EDGES = "i,j\r\n" + "".join(f"{i},{(i + step) % 40}\r\n" for i in range(40) for step in (1, 7))
+
+def ring_with_chords(chord: int) -> str:
+    """Edge list of a ring of 40 units with chords to the unit `chord`
+    places on: not a lattice, and every unit has 4 neighbours."""
+    return "i,j\r\n" + "".join(f"{i},{(i + step) % 40}\r\n"
+                               for i in range(40) for step in (1, chord))
+
+
+# odd chords keep the ring bipartite; even chords close 7-cycles
+EDGE_FILES = {"edges.csv": ring_with_chords(7), "edges-odd.csv": ring_with_chords(6)}
 
 CLI = "import sys; from fslm.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -84,30 +97,34 @@ def run_commands(tree: Path, out: Path) -> list[str]:
     return failed
 
 
-def compare(a: bytes, b: bytes) -> str | None:
-    """None when a == b; otherwise how the two files differ."""
+def compare(a: bytes, b: bytes, rtol: float) -> tuple[str, str]:
+    """("identical", ""), ("close", how) or ("DIFFERS", how) for two files."""
     if a == b:
-        return None
+        return "identical", ""
     ta, tb = a.decode(errors="replace"), b.decode(errors="replace")
     if NUMBER.split(ta) != NUMBER.split(tb):
-        return "different text"
+        return "DIFFERS", "different text"
     pairs = [(x, y) for x, y in zip(map(float, NUMBER.findall(ta)),
                                      map(float, NUMBER.findall(tb))) if x != y]
     if not pairs:
-        return "same numbers, written differently"
+        return "DIFFERS", "same numbers, written differently"
     abs_diff = max(abs(x - y) for x, y in pairs)
     rel_diff = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
-    return f"{len(pairs)} numbers differ, max abs {abs_diff:.3g}, max rel {rel_diff:.3g}"
+    return ("close" if rel_diff <= rtol else "DIFFERS",
+            f"{len(pairs)} numbers differ, max abs {abs_diff:.3g}, max rel {rel_diff:.3g}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="relative difference within which numbers count as close")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "base").mkdir()
-        (tmp / "edges.csv").write_text(EDGES, newline="")
+        for name, text in EDGE_FILES.items():
+            (tmp / name).write_text(text, newline="")
         extract(args.against, tmp / "base")
         failed = [f"{args.against}: {f}" for f in run_commands(tmp / "base", tmp / "out-base")]
         failed += [f"working tree: {f}" for f in run_commands(ROOT, tmp / "out-here")]
@@ -116,19 +133,18 @@ def main(argv=None) -> int:
         names = sorted({p.relative_to(d).as_posix()
                         for d in (tmp / "out-base", tmp / "out-here")
                         for p in d.rglob("*") if p.is_file()})
-        differing = 0
+        counts = {"identical": 0, "close": 0, "DIFFERS": 0}
         for name in names:
             a, b = tmp / "out-base" / name, tmp / "out-here" / name
             if not (a.exists() and b.exists()):
-                verdict = f"only in {'the working tree' if b.exists() else args.against}"
+                verdict = "DIFFERS", f"only in {'the working tree' if b.exists() else args.against}"
             else:
-                verdict = compare(a.read_bytes(), b.read_bytes())
-            differing += verdict is not None
-            print(f"{'identical' if verdict is None else 'DIFFERS':9}  {name}"
-                  + ("" if verdict is None else f": {verdict}"))
-    print(f"{len(names)} outputs against {args.against}: "
-          f"{len(names) - differing} identical, {differing} differ")
-    return 1 if differing or failed else 0
+                verdict = compare(a.read_bytes(), b.read_bytes(), args.rtol)
+            counts[verdict[0]] += 1
+            print(f"{verdict[0]:9}  {name}" + (f": {verdict[1]}" if verdict[1] else ""))
+    print(f"{len(names)} outputs against {args.against}: {counts['identical']} identical, "
+          f"{counts['close']} close (rtol {args.rtol:g}), {counts['DIFFERS']} differ")
+    return 1 if counts["DIFFERS"] or failed else 0
 
 
 if __name__ == "__main__":

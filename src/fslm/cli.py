@@ -20,7 +20,7 @@ from .basis import build_bspline_basis, smooth_curves
 from .mle import fit_ml
 from .model import Estimate, FslmData, PriorSpec
 from .sampler import Chain, MhConfig, run_mwg, summarize
-from .simgen import GRID_T, SimulationSpec, make_dataset
+from .simgen import GRID_T, SimulationSpec, check_rho, make_dataset
 from .spatial import (
     grid_contiguity,
     morans_i,
@@ -53,9 +53,14 @@ def _nonnegative_int(text) -> int:
 
 
 def _parse_rho_list(text: str) -> list[float]:
-    vals = [float(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"rho-list must hold numbers, not {text!r}")
     if not vals:
         raise argparse.ArgumentTypeError("rho-list must not be empty")
+    if not np.all(np.isfinite(vals)):
+        raise argparse.ArgumentTypeError(f"rho-list values must be finite, not {text!r}")
     if len(set(vals)) < len(vals):
         raise argparse.ArgumentTypeError("rho-list must not repeat a value")
     return vals
@@ -232,7 +237,9 @@ def cmd_table1(args) -> int:
     config = MhConfig(n_iter=args.n_iter, burn_in=args.burn_in, seed=args.seed)
     _check_unit_count(args.grid[0] * args.grid[1], args.basis_count)
     w = row_standardize(grid_contiguity(*args.grid))
-    # every replicate is simulated, so every rho is checked, before any output or fit
+    for rho in args.rho_list:  # before any seed is derived from rho
+        check_rho(rho, w)
+    # every replicate is simulated before any output or fit
     datasets = [
         [make_dataset(SimulationSpec(rho_true=rho, n_basis=args.basis_count,
                                      seed=args.seed + 1000 * rep + int(rho * 1e6)), w).data

@@ -74,12 +74,17 @@ def project_gamma(basis: BasisSpec, t_grid: np.ndarray) -> np.ndarray:
     return coef
 
 
+def check_rho(rho: float, w: SpatialWeights) -> None:
+    """A ValueError when rho lies outside W's domain [0, W.rho_max)."""
+    if not 0 <= rho < w.rho_max:
+        raise ValueError(f"rho {rho} outside W's domain [0, {w.rho_max:.6g})")
+
+
 def simulate_response(z: np.ndarray, w: SpatialWeights, theta: Theta, seed: int) -> np.ndarray:
     """Solve (I - rho*W) y = Z beta + eps, eps ~ N(0, sigma2*I) drawn from
     the seed, for y; a ValueError when rho lies outside W's domain
     [0, W.rho_max)."""
-    if not 0 <= theta.rho < w.rho_max:
-        raise ValueError(f"rho {theta.rho} outside W's domain [0, {w.rho_max:.6g})")
+    check_rho(theta.rho, w)
     eps = np.sqrt(theta.sigma2) * np.random.default_rng(seed).standard_normal(w.n)
     return np.linalg.solve(np.eye(w.n) - theta.rho * w.entries, z @ theta.beta + eps)
 

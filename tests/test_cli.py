@@ -203,6 +203,19 @@ def test_table1_rho_outside_domain_exits_2_before_any_fit(tmp_path, monkeypatch,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("rho", ["inf", "nan", "-0.5", "0.3,-0.5", "0.3,abc"])
+def test_table1_bad_rho_exits_2_naming_rho(rho, tmp_path, capsys):
+    # inf overflowed, and nan and -0.5 failed with numpy's messages, where
+    # table1 derived each replicate's seed from rho
+    try:
+        code = run(["table1", "--rho-list", rho, "--grid", "4x4", "--out", tmp_path / "x"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "rho" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_chain_counts_exit_2_before_any_work(bundle, tmp_path, capsys):
     # a chain must keep two draws at least, or its sds are undefined
     for counts in (["--n-iter", "100", "--burn-in", "100"], ["--n-iter", "2", "--burn-in", "1"]):

@@ -176,14 +176,18 @@ def test_moran_seed_reproducible():
 
 
 @st.composite
-def symmetric_graphs(draw):
+def symmetric_graphs(draw, bipartite=False):
     """Binary symmetric contiguity, often with isolated units, and
-    optionally row-standardized."""
+    optionally row-standardized; with bipartite=True, every link joins
+    two units of unequal drawn sides."""
     n = draw(st.integers(2, 12))
     links = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
                           max_size=n * (n - 1) // 2))
     c = np.zeros((n, n))
     c[np.triu_indices(n, 1)] = links
+    if bipartite:
+        sides = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        c *= sides[:, None] != sides[None, :]
     c = c + c.T
     w = SpatialWeights(n=n, entries=c)
     if draw(st.booleans()):
@@ -194,7 +198,7 @@ def symmetric_graphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(w=symmetric_graphs(), rho=st.floats(-3.0, 3.0))
+@given(w=symmetric_graphs() | symmetric_graphs(bipartite=True), rho=st.floats(-3.0, 3.0))
 def test_log_det_matches_slogdet(w, rho):
     a = np.eye(w.n) - rho * w.entries
     # keep clear of singular I - rho*W, where rounding decides the sign
@@ -232,12 +236,18 @@ def test_log_det_random_digraphs_match_slogdet():
         assert log_det_A(w, rho) == pytest.approx(ref, abs=1e-10)
 
 
-def test_eigenvalues_computed_once(monkeypatch):
+def count_eigen_calls(monkeypatch):
+    """Names of the numpy eigen- and singular-value routines called, in order."""
     calls = []
-    for name in ("eigvals", "eigvalsh"):
+    for name in ("eigvals", "eigvalsh", "svd"):
         real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda a, real=real: calls.append(1) or real(a))
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, name=name, real=real, **kw:
+                            calls.append(name) or real(a, *args, **kw))
+    return calls
+
+
+def test_eigenvalues_computed_once(monkeypatch):
+    calls = count_eigen_calls(monkeypatch)
     w = row_standardize(grid_contiguity(5, 5))
     for rho in np.linspace(-0.9, 0.9, 7):
         log_det_A(w, rho)
@@ -255,6 +265,89 @@ def test_lattice_eigenvalues_real_and_interval():
     # the rook lattice is bipartite: its spectrum spans [-1, 1]
     assert w.rho_max == pytest.approx(1.0, abs=1e-12)
     assert weights_from_edges(4, []).rho_max == 1.0
+
+
+def binary_and_standardized(c):
+    w = SpatialWeights(n=len(c), entries=c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-neighbour rows
+        return [w, row_standardize(w)]
+
+
+def star(n):
+    return weights_from_edges(n, [(0, k) for k in range(1, n)]).entries
+
+
+def cycle(n):
+    return weights_from_edges(n, [(k, (k + 1) % n) for k in range(n)]).entries
+
+
+def weighted_bipartite(seed=3):
+    rng = np.random.default_rng(seed)
+    c = np.zeros((9, 9))
+    c[:4, 4:] = rng.random((4, 5)) * (rng.random((4, 5)) < 0.7)
+    return c + c.T
+
+
+BIPARTITE = {
+    "rook11x11": grid_contiguity(11, 11).entries,
+    "rook3x7": grid_contiguity(3, 7).entries,
+    "rook1x2": grid_contiguity(1, 2).entries,
+    "star": star(6),
+    "cycle8": cycle(8),
+    # a 4-unit path and three isolated units
+    "isolated": weights_from_edges(7, [(1, 2), (2, 4), (4, 6)]).entries,
+    # a star and an even cycle, with interleaved units
+    "two-components": weights_from_edges(
+        10, [(0, 2), (0, 4), (0, 6), (1, 3), (3, 5), (5, 7), (7, 8), (8, 9), (9, 1)]).entries,
+}
+
+
+@pytest.mark.parametrize(
+    "w", [w for c in BIPARTITE.values() for w in binary_and_standardized(c)]
+    + [SpatialWeights(n=9, entries=weighted_bipartite())],
+    ids=[f"{name}-{form}" for name in BIPARTITE for form in ("binary", "standardized")]
+    + ["weighted"])
+def test_bipartite_eigenvalues_from_the_block_svd(w, monkeypatch):
+    calls = count_eigen_calls(monkeypatch)
+    lam = w.eigenvalues
+    assert calls == ["svd"]
+    assert lam.dtype == float and np.all(np.diff(lam) >= 0)
+    assert lam == pytest.approx(np.sort(np.linalg.eigvals(w.entries).real), abs=1e-12)
+
+
+def lattice_with_a_diagonal():
+    c = grid_contiguity(5, 5).entries.copy()
+    c[0, 6] = c[6, 0] = 1.0
+    return c
+
+
+@pytest.mark.parametrize(
+    "w", [w for c in (cycle(3), cycle(7), lattice_with_a_diagonal())
+          for w in binary_and_standardized(c)],
+    ids=[f"{name}-{form}" for name in ("triangle", "cycle7", "lattice-diagonal")
+         for form in ("binary", "standardized")])
+def test_odd_cycles_keep_eigvalsh(w, monkeypatch):
+    calls = count_eigen_calls(monkeypatch)
+    lam = w.eigenvalues
+    assert calls == ["eigvalsh"]
+    assert lam == pytest.approx(np.sort(np.linalg.eigvals(w.entries).real), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=symmetric_graphs() | symmetric_graphs(bipartite=True))
+def test_two_colouring_is_found_exactly_when_no_odd_cycle(w):
+    i, j = np.nonzero(w.entries)
+    side = spatial._two_colouring(w.n, i, j)
+    # a graph is bipartite iff every closed walk of odd length k <= n,
+    # counted by tr(A^k), is absent
+    a = (w.entries > 0).astype(np.int64)
+    odd_traces = [np.trace(np.linalg.matrix_power(a, k)) for k in range(1, w.n + 1, 2)]
+    if side is None:
+        assert any(odd_traces)
+    else:
+        assert np.all(side[i] != side[j])
+        assert not any(odd_traces)
 
 
 def test_entries_read_only():
