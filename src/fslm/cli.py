@@ -31,6 +31,7 @@ from .spatial import (
 # in table1's row order; "<kernel>-kernel" names a Bayesian fit
 METHODS = ["uniform-kernel", "normal-kernel", "ml"]
 JSON_TYPES = {bool: "boolean", str: "string", int: "integer", float: "number"}
+SPLINE_ORDER = 4  # cubic, as in simulate's curves
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -41,15 +42,27 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("grid must look like ROWSxCOLS, e.g. 11x11")
 
 
-def _nonnegative_int(text) -> int:
-    """A seed or a count: refused while the flags parse, before any output."""
+def _int_at_least(text, low: int, what: str) -> int:
+    """An integer flag value of at least low, refused while the flags parse,
+    before any output; what describes the values allowed."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {value}")
+        raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {what}, not {value}")
     return value
+
+
+def _nonnegative_int(text) -> int:
+    """A seed or a count."""
+    return _int_at_least(text, 0, "a nonnegative integer")
+
+
+def _basis_count(text) -> int:
+    """A B-spline basis holds at least as many functions as its order."""
+    return _int_at_least(text, SPLINE_ORDER,
+                         f"an integer of at least {SPLINE_ORDER}, the cubic B-spline order")
 
 
 def _parse_rho_list(text: str) -> list[float]:
@@ -87,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=_nonnegative_int, default=0)
     sim.add_argument("--grid", type=_parse_grid, default=(11, 11))
     sim.add_argument("--edges", type=Path, help="edge-list CSV instead of a lattice")
-    sim.add_argument("--n-units", type=int, help="unit count when using --edges")
-    sim.add_argument("--basis-count", type=int, default=7)
+    sim.add_argument("--n-units", type=_nonnegative_int, help="unit count when using --edges")
+    sim.add_argument("--basis-count", type=_basis_count, default=7)
     sim.add_argument("--noise-sd", type=float, default=1.0)
     sim.add_argument("--out", type=Path, required=True)
 
@@ -102,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seed", type=_nonnegative_int, default=0)
     fit.add_argument("--n-iter", type=int, default=20_000)
     fit.add_argument("--burn-in", type=int, default=5_000)
-    fit.add_argument("--basis-count", type=int, default=7)
+    fit.add_argument("--basis-count", type=_basis_count, default=7)
     fit.add_argument("--svg", action="store_true", help="emit SVG trace plots")
     fit.add_argument("--out", type=Path, required=True)
 
@@ -111,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--replicates", type=int, default=1)
     tab.add_argument("--seed", type=_nonnegative_int, default=0)
     tab.add_argument("--grid", type=_parse_grid, default=(11, 11))
-    tab.add_argument("--basis-count", type=int, default=7)
+    tab.add_argument("--basis-count", type=_basis_count, default=7)
     tab.add_argument("--n-iter", type=int, default=5_000)
     tab.add_argument("--burn-in", type=int, default=1_500)
     tab.add_argument("--out", type=Path, required=True)
@@ -171,7 +184,7 @@ def _load_bundle(data_dir: Path, basis_count: int) -> FslmData:
     if not w.entries.any():
         raise ValueError(f"{data_dir / 'weights.csv'} holds no links, "
                          "so rho is not identified")
-    basis = build_bspline_basis(t_grid[0], t_grid[-1], basis_count, 4)
+    basis = build_bspline_basis(t_grid[0], t_grid[-1], basis_count, SPLINE_ORDER)
     sample = smooth_curves(t_grid, obs, basis)
     return FslmData(y=y, z=sample.scores, w=w)
 
@@ -306,7 +319,8 @@ def _config_value(action, value, where):
     """Check a config value's JSON type against its flag: a boolean for a
     switch, else a string (argparse converts string defaults with type=)
     or, for an int or float flag, a number; bool subclasses int."""
-    numeric = {int: (int,), _nonnegative_int: (int,), float: (int, float)}.get(action.type, ())
+    numeric = {int: (int,), _nonnegative_int: (int,), _basis_count: (int,),
+               float: (int, float)}.get(action.type, ())
     allowed = (bool,) if action.nargs == 0 else (str,) + numeric
     if isinstance(value, bool) != (allowed == (bool,)) or not isinstance(value, allowed):
         names = " or ".join(JSON_TYPES[t] for t in allowed)

@@ -127,8 +127,7 @@ def read_response_csv(path) -> np.ndarray:
 
 def write_weights_csv(path, w: SpatialWeights) -> None:
     """Sparse triplet form `i,j,w`, nonzero entries in row-major order."""
-    rows, cols = np.nonzero(w.entries)
-    write_table(path, ["i", "j", "w"], rows, cols, w.entries[rows, cols])
+    write_table(path, ["i", "j", "w"], *w.links)
 
 
 def read_weights_csv(path, n: int | None = None) -> SpatialWeights:

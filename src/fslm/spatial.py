@@ -76,6 +76,16 @@ class SpatialWeights:
             raise ValueError("weights must be nonnegative")
 
     @cached_property
+    def links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, w_ij) of W's nonzero entries in row-major order, found
+        on first use; read-only."""
+        i, j = np.nonzero(self.entries)
+        links = i, j, self.entries[i, j]
+        for a in links:
+            a.flags.writeable = False
+        return links
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of W, computed on first use.
 
@@ -95,13 +105,13 @@ class SpatialWeights:
         neighbour graphs) keep eigvalsh on S.
         """
         w = self.entries
-        i, j = np.nonzero(w)
+        i, j, w_ij = self.links
         degree = np.bincount(i, minlength=self.n)
         # D W is symmetric for D = I (symmetric W) or D = diag(row
         # degree) (row-standardized binary symmetric W); then
         # D^1/2 W D^-1/2 is symmetric with W's eigenvalues.
         for d in (np.ones(self.n), np.where(degree > 0, degree, 1.0)):
-            if np.allclose(d[i] * w[i, j], d[j] * w[j, i], rtol=EIG_RTOL, atol=0.0):
+            if np.allclose(d[i] * w_ij, d[j] * w[j, i], rtol=EIG_RTOL, atol=0.0):
                 root = np.sqrt(d)
                 side = _two_colouring(self.n, i, j)
                 if side is None:
@@ -273,13 +283,13 @@ def morans_i(
     expected = -1.0 / (n - 1)
     rng = np.random.default_rng(seed)
     block = max(1, MORAN_BLOCK_VALUES // n)
-    pairs = n * n > MORAN_PAIRS_RATIO * np.count_nonzero(w.entries)
+    i, j, w_ij = w.links
+    pairs = n * n > MORAN_PAIRS_RATIO * i.size
     if pairs:
         # each linked pair once: as i < j, or as i > j when w_ji = 0
-        i, j = np.nonzero(w.entries)
         once = (i < j) | (w.entries[j, i] == 0)
         i, j = i[once], j[once]
-        weight = w.entries[i, j] + w.entries[j, i]
+        weight = w_ij[once] + w.entries[j, i]
     hits = 0
     for start in range(0, n_permutations, block):
         rows = min(block, n_permutations - start)

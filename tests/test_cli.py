@@ -421,6 +421,49 @@ def test_negative_seed_exits_2_naming_the_flag_before_any_output(bundle, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit", "table1"])
+def test_basis_count_below_the_cubic_order_exits_2_naming_the_flag(bundle, tmp_path,
+                                                                   capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--out", out],
+        "fit": ["fit", "--data", bundle, "--method", "ml", "--out", out],
+        "table1": ["table1", "--rho-list", "0.5", "--out", out],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--basis-count", "3"])
+    assert exc.value.code == 2
+    assert "argument --basis-count: must be an integer of at least 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [3, "3"])
+def test_config_basis_count_below_the_cubic_order_exits_2_naming_the_key(tmp_path, capsys,
+                                                                         value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"basis_count": value}))
+    out = tmp_path / "out"
+    try:
+        code = run(["--config", config, "simulate", "--out", out])
+    except SystemExit as exc:  # a string value is converted by argparse
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "basis" in err and "must be an integer of at least 4" in err
+    assert not out.exists()
+
+
+def test_negative_unit_count_exits_2_naming_the_flag(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("i,j\n0,1\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--edges", edges, "--n-units", "-1", "--out", out])
+    assert exc.value.code == 2
+    assert "argument --n-units: must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [-1, "-1"])
 def test_config_negative_seed_exits_2_naming_the_key(bundle, tmp_path, capsys, value):
     config = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from fslm import (
     FslmData,
@@ -174,3 +175,29 @@ def test_array_scan_matches_the_scalar_loop(w, seed):
 def test_sigma2_hat_of_a_scalar_is_a_float():
     data = make_dataset(SimulationSpec(seed=0)).data
     assert type(sigma2_hat(0.5, data)) is float
+
+
+@pytest.mark.parametrize("w, rho_true", [
+    (row_standardize(grid_contiguity(11, 11)), 0.5),
+    (nearest_neighbour_weights(45), 0.5),
+    (grid_contiguity(11, 11), 0.15),
+    (row_standardize(grid_contiguity(11, 11)), 0.99),
+], ids=["rook", "nearest-neighbour", "binary", "near-cap"])
+def test_rho_hat_matches_a_bounded_scalar_search(w, rho_true):
+    # the nearest-neighbour W has complex eigenvalues; the binary one has
+    # rho_max < 0.26; at rho_true = 0.99 rho_hat lies near the 0.999 cap
+    data = make_dataset(SimulationSpec(rho_true=rho_true, seed=1), w).data
+    hi = min(0.999, w.rho_max * (1 - 1e-9))
+    oracle = minimize_scalar(lambda rho: -concentrated_loglik(rho, data), bounds=(0.0, hi),
+                             method="bounded", options={"xatol": 1e-12}).x
+    assert fit_ml(data).theta.rho == pytest.approx(oracle, abs=1e-8)
+
+
+def test_rho_hat_of_a_flat_likelihood_is_inside_the_interval():
+    # with W = 0, l_c does not depend on rho, so any point of it is a maximum
+    rng = np.random.default_rng(6)
+    n = 30
+    data = FslmData(y=rng.standard_normal(n), z=rng.standard_normal((n, 2)),
+                    w=weights_from_edges(n, []))
+    rho = fit_ml(data).theta.rho
+    assert np.isfinite(rho) and 0.0 <= rho <= 0.999

@@ -354,6 +354,12 @@ def test_entries_read_only():
     w = weights_from_edges(3, [(0, 1)])
     with pytest.raises(ValueError):
         w.entries[0, 2] = 1.0
+    # the cached links, in row-major order, are read-only too
+    i, j, w_ij = w.links
+    assert i.tolist() == [0, 1] and j.tolist() == [1, 0] and w_ij.tolist() == [1.0, 1.0]
+    for a in w.links:
+        with pytest.raises(ValueError):
+            a[0] = 2
 
 
 def test_directed_path_is_nilpotent():
