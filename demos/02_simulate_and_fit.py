@@ -10,13 +10,15 @@ from fslm import (
     MhConfig,
     PriorSpec,
     SimulationSpec,
+    grid_contiguity,
     make_dataset,
+    row_standardize,
     run_mwg,
     summarize,
 )
 
 spec = SimulationSpec(rho_true=0.5, sigma2_true=1.0, seed=7)
-ds = make_dataset(spec)
+ds = make_dataset(spec, row_standardize(grid_contiguity(11, 11)))
 print(f"simulated {ds.data.n} units, design matrix {ds.data.z.shape}")
 print("true rho:", ds.true_theta.rho, " true sigma2:", ds.true_theta.sigma2)
 print("true beta:", np.round(ds.true_theta.beta, 3))

@@ -20,8 +20,9 @@ from .basis import build_bspline_basis, smooth_curves
 from .mle import fit_ml
 from .model import Estimate, FslmData, PriorSpec
 from .sampler import Chain, MhConfig, run_mwg, summarize
-from .simgen import GRID_T, SimulationSpec, check_rho, make_dataset
+from .simgen import GRID_T, SimulationSpec, make_dataset
 from .spatial import (
+    check_rho,
     grid_contiguity,
     morans_i,
     row_standardize,
@@ -32,6 +33,7 @@ from .spatial import (
 METHODS = ["uniform-kernel", "normal-kernel", "ml"]
 JSON_TYPES = {bool: "boolean", str: "string", int: "integer", float: "number"}
 SPLINE_ORDER = 4  # cubic, as in simulate's curves
+PAPER_GRID = (11, 11)  # the rook lattice of the paper's simulation study
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--rho", type=float, default=0.5)
     sim.add_argument("--sigma2", type=float, default=1.0)
     sim.add_argument("--seed", type=_nonnegative_int, default=0)
-    sim.add_argument("--grid", type=_parse_grid, default=(11, 11))
+    sim.add_argument("--grid", type=_parse_grid, help="lattice ROWSxCOLS, 11x11 if no --edges")
     sim.add_argument("--edges", type=Path, help="edge-list CSV instead of a lattice")
     sim.add_argument("--n-units", type=_nonnegative_int, help="unit count when using --edges")
     sim.add_argument("--basis-count", type=_basis_count, default=7)
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--rho-list", type=_parse_rho_list, required=True)
     tab.add_argument("--replicates", type=int, default=1)
     tab.add_argument("--seed", type=_nonnegative_int, default=0)
-    tab.add_argument("--grid", type=_parse_grid, default=(11, 11))
+    tab.add_argument("--grid", type=_parse_grid, default=PAPER_GRID)
     tab.add_argument("--basis-count", type=_basis_count, default=7)
     tab.add_argument("--n-iter", type=int, default=5_000)
     tab.add_argument("--burn-in", type=int, default=1_500)
@@ -144,6 +146,10 @@ def _check_unit_count(n: int, basis_count: int) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.edges is not None and args.grid is not None:
+        raise ValueError("--grid and --edges both give W; give one of them")
+    if args.edges is None and args.n_units is not None:
+        raise ValueError("--n-units needs --edges: a --grid lattice has ROWS*COLS units")
     spec = SimulationSpec(
         rho_true=args.rho, sigma2_true=args.sigma2, noise_sd=args.noise_sd,
         n_basis=args.basis_count, seed=args.seed,
@@ -155,7 +161,7 @@ def cmd_simulate(args) -> int:
         n = 1 + max(max(e) for e in edges) if args.n_units is None else args.n_units
         w = weights_from_edges(n, edges)
     else:
-        w = grid_contiguity(*args.grid)
+        w = grid_contiguity(*(args.grid or PAPER_GRID))
     _check_unit_count(w.n, args.basis_count)
     dataset = make_dataset(spec, row_standardize(w))
 
@@ -200,15 +206,17 @@ def _fit_one(method: str, data: FslmData,
 
 
 def cmd_fit(args) -> int:
-    methods = METHODS if args.method == "all" else [args.method]
+    # ML first, so that its refusal of a rank-deficient Z comes before any chain
+    methods = METHODS[::-1] if args.method == "all" else [args.method]
     # ML alone runs no chain, so it ignores the chain flags
     config = None if methods == ["ml"] else MhConfig(
         n_iter=args.n_iter, burn_in=args.burn_in, seed=args.seed)
     data = _load_bundle(args.data, args.basis_count)
+    fits = {method: _fit_one(method, data, config) for method in methods}
+    # --out is made only once every fit has succeeded
     args.out.mkdir(parents=True, exist_ok=True)
     report = {}
-    for method in methods:
-        estimate, chain = _fit_one(method, data, config)
+    for method, (estimate, chain) in fits.items():
         report[method] = estimate.to_json_dict()
         if chain is not None:
             fio.write_chain_csv(args.out / f"trace_{method}.csv", chain)

@@ -130,11 +130,10 @@ def write_weights_csv(path, w: SpatialWeights) -> None:
     write_table(path, ["i", "j", "w"], *w.links)
 
 
-def read_weights_csv(path, n: int | None = None) -> SpatialWeights:
+def read_weights_csv(path, n: int) -> SpatialWeights:
+    """The n x n W of triplets `i,j,w`; units without a link keep zero rows."""
     rows = _read_table(path, ["i", "j", "w"])[1]
     ij = rows[:, :2].astype(int)
-    if n is None:
-        n = 1 + int(ij.max(initial=-1))
     if np.any(ij != rows[:, :2]) or np.any((ij < 0) | (ij >= n)):
         raise ValueError(f"{path}: indices i, j must be integers in [0, {n})")
     if len(np.unique(ij, axis=0)) < len(ij):

@@ -39,6 +39,8 @@ __all__ = [
     "bic",
 ]
 
+DIFFUSE_VARIANCE = 1e4  # each beta coefficient's prior variance in PriorSpec.diffuse
+
 
 @dataclass(frozen=True)
 class FslmData:
@@ -105,8 +107,8 @@ class PriorSpec:
         np.linalg.cholesky(self.sigma_beta)  # raises if not SPD
 
     @classmethod
-    def diffuse(cls, k: int, scale: float = 1e4) -> "PriorSpec":
-        return cls(m=np.zeros(k), sigma_beta=scale * np.eye(k))
+    def diffuse(cls, k: int) -> "PriorSpec":
+        return cls(m=np.zeros(k), sigma_beta=DIFFUSE_VARIANCE * np.eye(k))
 
     @cached_property
     def precision(self) -> np.ndarray:

@@ -152,10 +152,10 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     )
 
 
-def summarize(chain: Chain, data: FslmData | None = None) -> Estimate:
+def summarize(chain: Chain, data: FslmData) -> Estimate:
     """Posterior means (as theta), sds and acceptance rate over the draws
-    after the chain's burn-in, of which there must be two at least; BIC at
-    the posterior mean when data is given, NaN otherwise."""
+    after the chain's burn-in, of which there must be two at least, and
+    BIC on the chain's data at the posterior mean."""
     burn_in = chain.burn_in
     if burn_in >= len(chain) - 1:
         raise ValueError("burn_in must leave two draws at least to summarize")
@@ -173,6 +173,6 @@ def summarize(chain: Chain, data: FslmData | None = None) -> Estimate:
         std_beta=beta.std(axis=0, ddof=1),
         std_sigma2=float(sigma2.std(ddof=1)),
         std_rho=float(rho.std(ddof=1)),
-        bic=bic(mean, data) if data is not None else float("nan"),
+        bic=bic(mean, data),
         acceptance_rate=float(chain.accepted[burn_in:].mean()),
     )

@@ -1,10 +1,11 @@
 """Synthetic data generation for the simulation study.
 
-make_dataset owns the paper's truth: covariate curves cos(t) + sin(t)
-plus white noise on the integer grid GRID_T, smoothed onto the B-spline
-basis, and beta, the projection on GRID_T of the functional coefficient
+make_dataset owns the paper's truth on the caller's W, one unit per row:
+covariate curves cos(t) + sin(t) plus white noise on the integer grid
+GRID_T, smoothed onto the B-spline basis, and beta, the projection on
+GRID_T of the functional coefficient
 g(t) = exp(-t/10) * ((t/10)^2 + 3*(t/10) - 4).  simulate_response
-solves (I - rho*W) y = Z beta + eps for a given theta and W.
+solves (I - rho*W) y = Z beta + eps.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .basis import BasisSpec, FunctionalSample, build_bspline_basis, smooth_curves
 from .model import FslmData, Theta
-from .spatial import SpatialWeights, grid_contiguity, row_standardize
+from .spatial import SpatialWeights, check_rho
 
 __all__ = [
     "GRID_T",
@@ -36,8 +37,6 @@ GRID_T.flags.writeable = False
 class SimulationSpec:
     rho_true: float = 0.5
     sigma2_true: float = 1.0
-    lattice_rows: int = 11
-    lattice_cols: int = 11
     noise_sd: float = 1.0
     n_basis: int = 7
     seed: int = 0
@@ -74,12 +73,6 @@ def project_gamma(basis: BasisSpec, t_grid: np.ndarray) -> np.ndarray:
     return coef
 
 
-def check_rho(rho: float, w: SpatialWeights) -> None:
-    """A ValueError when rho lies outside W's domain [0, W.rho_max)."""
-    if not 0 <= rho < w.rho_max:
-        raise ValueError(f"rho {rho} outside W's domain [0, {w.rho_max:.6g})")
-
-
 def simulate_response(z: np.ndarray, w: SpatialWeights, theta: Theta, seed: int) -> np.ndarray:
     """Solve (I - rho*W) y = Z beta + eps, eps ~ N(0, sigma2*I) drawn from
     the seed, for y; a ValueError when rho lies outside W's domain
@@ -89,14 +82,8 @@ def simulate_response(z: np.ndarray, w: SpatialWeights, theta: Theta, seed: int)
     return np.linalg.solve(np.eye(w.n) - theta.rho * w.entries, z @ theta.beta + eps)
 
 
-def make_dataset(spec: SimulationSpec, w: SpatialWeights | None = None) -> SimulatedDataset:
-    """Full pipeline: weights, covariates, the paper's truth, response.
-
-    W defaults to the row-standardized rook contiguity of the spec's
-    lattice; a given W replaces the lattice and sets the unit count.
-    """
-    if w is None:
-        w = row_standardize(grid_contiguity(spec.lattice_rows, spec.lattice_cols))
+def make_dataset(spec: SimulationSpec, w: SpatialWeights) -> SimulatedDataset:
+    """Covariates, the paper's truth and the response on W, one unit per row."""
     basis = build_bspline_basis(GRID_T[0], GRID_T[-1], spec.n_basis, 4)
     # raw covariate curves: cos(t) + sin(t) plus white noise, one per unit
     rng = np.random.default_rng(spec.seed)

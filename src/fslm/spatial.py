@@ -141,6 +141,12 @@ class SpatialWeights:
         return min(1.0, 1.0 / float(hi)) if hi > 0 else 1.0
 
 
+def check_rho(rho: float, w: SpatialWeights) -> None:
+    """A ValueError when rho lies outside W's domain [0, W.rho_max)."""
+    if not 0 <= rho < w.rho_max:
+        raise ValueError(f"rho {rho} outside W's domain [0, {w.rho_max:.6g})")
+
+
 def _two_colouring(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray | None:
     """A side (False or True) per unit such that every link (i[k], j[k])
     of a symmetric pattern joins the two sides, or None when the links

@@ -32,6 +32,9 @@ from fslm.cli import main as cli_main
 from fslm.mle import concentrated_loglik
 from fslm.spatial import SpatialWeights
 
+# the paper's 11x11 rook lattice, row-standardized
+PAPER_W = row_standardize(grid_contiguity(11, 11))
+
 
 def report(name: str, ok: bool, detail: str = ""):
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} {detail}")
@@ -140,13 +143,13 @@ def test_criterion_2_brute_force_posterior():
 
 def _recover_one(rho_true, rep, method):
     spec = SimulationSpec(rho_true=rho_true, seed=10_000 * rep + int(rho_true * 100))
-    ds = make_dataset(spec)
+    ds = make_dataset(spec, PAPER_W)
     if method == "ml":
         est = fit_ml(ds.data)
         return est.theta.rho, est.theta.sigma2
     prior = PriorSpec.diffuse(7)
     cfg = MhConfig(n_iter=2_500, burn_in=1_000, kernel=method, seed=rep)
-    s = summarize(run_mwg(ds.data, prior, cfg))
+    s = summarize(run_mwg(ds.data, prior, cfg), ds.data)
     return s.theta.rho, s.theta.sigma2
 
 
@@ -174,7 +177,7 @@ def test_criterion_3_parameter_recovery():
 
 def test_criterion_4_acceptance_rate_control():
     spec = SimulationSpec(rho_true=0.5, seed=400)
-    ds = make_dataset(spec)
+    ds = make_dataset(spec, PAPER_W)
     prior = PriorSpec.diffuse(7)
 
     def one(seed):
@@ -255,7 +258,7 @@ def test_criterion_7_ml_baseline():
     )
 
     spec = SimulationSpec(rho_true=0.5, seed=701)
-    ds = make_dataset(spec)
+    ds = make_dataset(spec, PAPER_W)
     est = fit_ml(ds.data)
     h = 1e-5
     grad = (
@@ -266,7 +269,7 @@ def test_criterion_7_ml_baseline():
 
     prior = PriorSpec.diffuse(7)
     cfg = MhConfig(n_iter=4_000, burn_in=1_500, seed=702)
-    s = summarize(run_mwg(ds.data, prior, cfg))
+    s = summarize(run_mwg(ds.data, prior, cfg), ds.data)
     band_rho = 3 * (s.std_rho + est.std_rho)
     ok_agree = abs(s.theta.rho - est.theta.rho) < band_rho and np.all(
         np.abs(s.theta.beta - est.theta.beta) < 3 * (s.std_beta + est.std_beta)

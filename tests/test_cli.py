@@ -346,6 +346,65 @@ def test_fit_ml_rank_one_design_exits_3(tmp_path, capsys):
     assert "rank deficient" in capsys.readouterr().err
 
 
+def test_fit_all_on_rank_one_design_exits_3_before_any_chain_or_output(tmp_path, capsys,
+                                                                      monkeypatch):
+    bundle = tmp_path / "flat"
+    assert run(["simulate", "--noise-sd", "0", "--out", bundle]) == 0
+    chains = []
+    real = fslm.cli.run_mwg
+    monkeypatch.setattr(fslm.cli, "run_mwg", lambda *args: chains.append(args) or real(*args))
+    out = tmp_path / "fit"
+    code = run(["fit", "--data", bundle, "--method", "all", "--n-iter", "300",
+                "--burn-in", "100", "--out", out])
+    assert code == 3
+    assert "rank deficient" in capsys.readouterr().err
+    assert chains == [] and not out.exists()
+
+
+def test_fit_whose_last_chain_fails_leaves_no_out(bundle, tmp_path, capsys, monkeypatch):
+    kernels = []
+    real = fslm.cli.run_mwg
+
+    def failing_second_chain(data, prior, config):
+        kernels.append(config.kernel)
+        if len(kernels) == 2:
+            raise np.linalg.LinAlgError("chain failed")
+        return real(data, prior, config)
+
+    monkeypatch.setattr(fslm.cli, "run_mwg", failing_second_chain)
+    out = tmp_path / "fit"
+    code = run(["fit", "--data", bundle, "--method", "all", "--n-iter", "300",
+                "--burn-in", "100", "--out", out])
+    assert code == 3
+    assert "chain failed" in capsys.readouterr().err
+    assert sorted(kernels) == ["normal", "uniform"] and not out.exists()
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    (["--n-units", "50"], {}, ["--n-units", "--edges"]),
+    ([], {"n_units": 50}, ["--n-units", "--edges"]),
+    (["--grid", "5x5", "--edges", "EDGES"], {}, ["--grid", "--edges"]),
+    (["--edges", "EDGES"], {"grid": "5x5"}, ["--grid", "--edges"]),
+    (["--grid", "5x5"], {"edges": "EDGES"}, ["--grid", "--edges"]),
+], ids=["n-units", "config-n-units", "grid-and-edges", "config-grid", "config-edges"])
+def test_simulate_refuses_a_flag_it_would_ignore(tmp_path, capsys, flags, config, named):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("i,j\n0,1\n1,2\n")
+    config = {key: str(edges) if value == "EDGES" else value for key, value in config.items()}
+    argv = [str(edges) if flag == "EDGES" else flag for flag in flags]
+    if config:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", path, "simulate", *argv]
+    else:
+        argv = ["simulate", *argv]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in named)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("side, basis_count", [(2, 7), (3, 9), (3, 8)],
                          ids=["n<k", "n=k", "n=k+1"])
 def test_fit_too_few_units_exits_2(tmp_path, capsys, side, basis_count):

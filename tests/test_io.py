@@ -51,4 +51,4 @@ def test_read_weights_csv_refuses_repeated_pair(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("i,j,w\n0,1,0.5\n1,0,1\n0,1,5\n")
     with pytest.raises(ValueError, match=r"w\.csv: an \(i, j\) pair is given more than once"):
-        fio.read_weights_csv(path)
+        fio.read_weights_csv(path, n=2)

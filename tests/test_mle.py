@@ -106,7 +106,7 @@ def test_scalar_slm_matches_grid_search():
 
 @pytest.mark.parametrize("side", [11, 22])
 def test_analytic_information_matches_finite_differences(side):
-    ds = make_dataset(SimulationSpec(lattice_rows=side, lattice_cols=side, seed=side))
+    ds = make_dataset(SimulationSpec(seed=side), row_standardize(grid_contiguity(side, side)))
     est = fit_ml(ds.data)
     analytic = np.concatenate([est.std_beta, [est.std_sigma2, est.std_rho]])
     oracle = finite_difference_std(est.theta, ds.data)
@@ -173,7 +173,7 @@ def test_array_scan_matches_the_scalar_loop(w, seed):
 
 
 def test_sigma2_hat_of_a_scalar_is_a_float():
-    data = make_dataset(SimulationSpec(seed=0)).data
+    data = make_dataset(SimulationSpec(seed=0), row_standardize(grid_contiguity(11, 11))).data
     assert type(sigma2_hat(0.5, data)) is float
 
 

@@ -112,7 +112,7 @@ def test_beta_conditional_no_data_returns_prior():
 
 def test_beta_conditional_diffuse_limit_is_ols():
     data = make_data(n=30, seed=5)
-    prior = PriorSpec.diffuse(2, scale=1e6)
+    prior = PriorSpec(m=np.zeros(2), sigma_beta=1e6 * np.eye(2))
     mean, _ = beta_conditional_params(1.0, 0.0, data, prior)
     ols, *_ = np.linalg.lstsq(data.z, data.y, rcond=None)
     assert np.abs(mean - ols).max() / np.abs(ols).max() < 1e-4

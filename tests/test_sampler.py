@@ -22,6 +22,7 @@ from fslm import (
 )
 from fslm.model import (
     beta_conditional_params,
+    bic,
     rho_information,
     sigma2_conditional_params,
     sigma2_hat,
@@ -122,7 +123,7 @@ def test_summarize_reads_the_burn_in_the_chain_ran_with(small_problem):
     cfg = MhConfig(n_iter=300, burn_in=120, seed=9)
     chain = run_mwg(data, prior, cfg)
     assert chain.burn_in == cfg.burn_in
-    s = summarize(chain)
+    s = summarize(chain, data)
     kept = chain.draws_beta[cfg.burn_in:]
     assert np.array_equal(s.theta.beta, kept.mean(axis=0))
     assert np.array_equal(s.std_beta, kept.std(axis=0, ddof=1))
@@ -235,7 +236,7 @@ def chain_with_two_log_dets_per_iteration(data, prior, config):
 
 @pytest.mark.parametrize("kernel", ["normal", "uniform"])
 def test_kept_log_det_gives_the_two_log_det_chain(kernel):
-    data = make_dataset(SimulationSpec(lattice_rows=6, lattice_cols=6, seed=4)).data
+    data = make_dataset(SimulationSpec(seed=4), row_standardize(grid_contiguity(6, 6))).data
     prior = PriorSpec.diffuse(data.k)
     cfg = MhConfig(n_iter=600, burn_in=200, kernel=kernel, seed=6)
     chain = run_mwg(data, prior, cfg)
@@ -308,6 +309,13 @@ def test_conjugate_regression_oracle():
     assert abs(s.theta.sigma2 - post_mean_sigma2) < 3 * mcse_s
 
 
+def path_data(k: int) -> FslmData:
+    """Six units on a path with k covariates: the data of a hand-built chain."""
+    rng = np.random.default_rng(k)
+    return FslmData(y=rng.standard_normal(6), z=rng.standard_normal((6, k)),
+                    w=weights_from_edges(6, [(i, i + 1) for i in range(5)]))
+
+
 def test_summarize_trivial_cases():
     k = 2
     n = 50
@@ -320,14 +328,15 @@ def test_summarize_trivial_cases():
         tuning_trace=np.array([0.1]),
         burn_in=10,
     )
-    s = summarize(chain)
+    data = path_data(k)
+    s = summarize(chain, data)
     assert np.all(s.std_beta == 0)
     assert s.std_sigma2 == 0
     assert s.acceptance_rate == 1.0
-    assert np.isnan(s.bic)
+    assert s.bic == bic(s.theta, data)
     for burn_in in (n - 1, n):  # fewer than two kept draws
         with pytest.raises(ValueError):
-            summarize(replace(chain, burn_in=burn_in))
+            summarize(replace(chain, burn_in=burn_in), data)
 
 
 def test_summarize_ig_moments():
@@ -342,7 +351,7 @@ def test_summarize_ig_moments():
         tuning_trace=np.array([0.1]),
         burn_in=0,
     )
-    s = summarize(chain)
+    s = summarize(chain, path_data(1))
     assert s.theta.sigma2 == pytest.approx(1.0, rel=0.01)
     # IG(3,.) has no finite 4th moment, so the sample sd converges slowly
     assert s.std_sigma2 == pytest.approx(1.0, rel=0.05)
@@ -363,7 +372,8 @@ def test_adaptation_reaches_band(small_problem):
 @pytest.mark.parametrize("kernel", ["normal", "uniform"])
 def test_adaptation_reaches_band_at_high_rho(kernel):
     # the posterior of rho sits far above the start at rho_max / 2
-    data = make_dataset(SimulationSpec(rho_true=0.9, seed=3)).data
+    data = make_dataset(SimulationSpec(rho_true=0.9, seed=3),
+                        row_standardize(grid_contiguity(11, 11))).data
     prior = PriorSpec.diffuse(data.k)
     for seed in range(3):
         cfg = MhConfig(n_iter=5_000, burn_in=1_500, kernel=kernel, seed=seed)

@@ -14,6 +14,11 @@ from fslm import (
 from fslm.simgen import GRID_T
 
 
+def rook(rows: int, cols: int):
+    """The row-standardized rook contiguity of a rows x cols lattice."""
+    return row_standardize(grid_contiguity(rows, cols))
+
+
 def test_true_gamma_values():
     assert true_gamma(0.0) == -4.0
     assert true_gamma(10.0) == pytest.approx(0.0, abs=1e-15)  # e^-1 * (1+3-4)
@@ -21,15 +26,15 @@ def test_true_gamma_values():
 
 
 def test_covariates_deterministic_signal():
-    spec = SimulationSpec(noise_sd=0.0, lattice_rows=2, lattice_cols=3, seed=1)
-    sample = make_dataset(spec).sample
+    spec = SimulationSpec(noise_sd=0.0, seed=1)
+    sample = make_dataset(spec, rook(2, 3)).sample
     # identical inputs; lstsq leaves rounding-level differences across rows
     assert np.abs(sample.coef - sample.coef[0]).max() < 1e-12
 
 
 def test_covariates_clt_mean():
-    spec = SimulationSpec(lattice_rows=20, lattice_cols=25, seed=2)  # n = 500
-    raw = make_dataset(spec).raw_curves
+    spec = SimulationSpec(seed=2)
+    raw = make_dataset(spec, rook(20, 25)).raw_curves  # n = 500
     assert raw.shape == (500, GRID_T.size)
     signal = np.cos(GRID_T) + np.sin(GRID_T)
     band = 3 * spec.noise_sd / np.sqrt(500)
@@ -38,13 +43,13 @@ def test_covariates_clt_mean():
 
 def test_covariates_dimensions():
     spec = SimulationSpec(seed=3)
-    sample = make_dataset(spec).sample
+    sample = make_dataset(spec, rook(11, 11)).sample
     assert sample.scores.shape == (121, 7)
 
 
 def test_response_no_spatial_feedback():
-    spec = SimulationSpec(rho_true=0.0, lattice_rows=3, lattice_cols=3, seed=4)
-    ds = make_dataset(spec)
+    spec = SimulationSpec(rho_true=0.0, seed=4)
+    ds = make_dataset(spec, rook(3, 3))
     rng = np.random.default_rng(spec.seed + 1)
     eps = np.sqrt(spec.sigma2_true) * rng.standard_normal(9)
     expected = ds.data.z @ ds.true_theta.beta + eps
@@ -52,9 +57,9 @@ def test_response_no_spatial_feedback():
 
 
 def test_response_noiseless_identity():
-    spec = SimulationSpec(lattice_rows=3, lattice_cols=3, seed=5)
-    w = row_standardize(grid_contiguity(3, 3))
-    ds = make_dataset(spec)
+    spec = SimulationSpec(seed=5)
+    w = rook(3, 3)
+    ds = make_dataset(spec, w)
     z = ds.data.z
     theta = Theta(beta=ds.true_theta.beta, sigma2=0.0, rho=0.5)
     y = simulate_response(z, w, theta, seed=9)
@@ -83,8 +88,8 @@ def test_response_covariance_propagation():
 
 def test_dataset_round_trip_determinism():
     spec = SimulationSpec(rho_true=0.3, seed=11)
-    a = make_dataset(spec)
-    b = make_dataset(spec)
+    a = make_dataset(spec, rook(11, 11))
+    b = make_dataset(spec, rook(11, 11))
     assert np.array_equal(a.data.y, b.data.y)
     assert np.array_equal(a.data.z, b.data.z)
     assert np.array_equal(a.true_theta.beta, b.true_theta.beta)
@@ -92,7 +97,7 @@ def test_dataset_round_trip_determinism():
 
 def test_dataset_satisfies_model_identity():
     spec = SimulationSpec(rho_true=0.5, seed=12)
-    ds = make_dataset(spec)
+    ds = make_dataset(spec, rook(11, 11))
     rng = np.random.default_rng(spec.seed + 1)
     eps = rng.standard_normal(121)
     a = np.eye(121) - 0.5 * ds.data.w.entries
@@ -115,7 +120,7 @@ def test_gamma_projection_reconstruction_error():
 
 def test_invalid_spec():
     with pytest.raises(ValueError):
-        make_dataset(SimulationSpec(rho_true=1.0))
+        make_dataset(SimulationSpec(rho_true=1.0), rook(11, 11))
 
 
 def test_rho_outside_the_domain_of_the_given_weights_rejected():
@@ -124,7 +129,7 @@ def test_rho_outside_the_domain_of_the_given_weights_rejected():
     with pytest.raises(ValueError, match="domain"):
         make_dataset(SimulationSpec(rho_true=0.5, seed=1), grid_contiguity(11, 11))
     with pytest.raises(ValueError, match="domain"):
-        make_dataset(SimulationSpec(rho_true=-0.1, seed=1))
+        make_dataset(SimulationSpec(rho_true=-0.1, seed=1), rook(11, 11))
     ds = make_dataset(SimulationSpec(rho_true=0.25, seed=1), grid_contiguity(11, 11))
     theta = Theta(beta=ds.true_theta.beta, sigma2=1.0, rho=0.5)
     with pytest.raises(ValueError, match="domain"):
