@@ -17,6 +17,7 @@ from .model import (
     PriorSpec,
     Theta,
     beta_conditional_params,
+    beta_factor,
     bic,
     log_likelihood,
     rho_log_conditional,

@@ -9,9 +9,16 @@ two views of one kernel, ln|A| - v'Gv/(2 sigma2), with ln|A| from W's
 eigenvalues (spatial.log_det_A).  Conditionals:
 
   sigma2 | beta, rho  ~  InvGamma(n/2 + a, (v'Gv + 2b)/2)
-  beta   | sigma2, rho ~  N(mu, V) with precision G[2:, 2:]/sigma2 + Sigma^{-1}
+  beta   | sigma2, rho ~  N(P^{-1} b, sigma2 P^{-1}), P = Z'Z + sigma2 Sigma^{-1},
+                          b = Z'A y + sigma2 Sigma^{-1} m
   rho    | beta, sigma2   has no standard form (the |A| term), handled by
                           a Metropolis step in the sampler.
+
+beta's conditional is factored once per (data, prior) by beta_factor:
+the generalized eigenproblem Z'Z u = mu Sigma^{-1} u, with
+U' Sigma^{-1} U = I, gives P^{-1} = U diag(d) U', d = 1/(mu + sigma2),
+and U'b is linear in rho and sigma2.  beta_conditional_params then costs
+a few k-vector operations and no factorization.
 
 rho's prior is flat on W's domain [0, W.rho_max), where det(A) > 0.
 """
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +40,8 @@ __all__ = [
     "Estimate",
     "log_likelihood",
     "sigma2_conditional_params",
+    "BetaFactor",
+    "beta_factor",
     "beta_conditional_params",
     "rho_log_conditional",
     "rho_information",
@@ -110,16 +120,6 @@ class PriorSpec:
     def diffuse(cls, k: int) -> "PriorSpec":
         return cls(m=np.zeros(k), sigma_beta=DIFFUSE_VARIANCE * np.eye(k))
 
-    @cached_property
-    def precision(self) -> np.ndarray:
-        """Sigma^{-1}."""
-        return np.linalg.inv(self.sigma_beta)
-
-    @cached_property
-    def precision_mean(self) -> np.ndarray:
-        """Sigma^{-1} m."""
-        return self.precision @ self.m
-
 
 @dataclass(frozen=True)
 class Theta:
@@ -169,13 +169,9 @@ def _gram_form(beta: np.ndarray, rho: float, data: FslmData) -> tuple[np.ndarray
     return gv, max(float(v @ gv), 0.0)
 
 
-def _log_kernel(beta: np.ndarray, sigma2: float, rho: float, data: FslmData,
-                log_det: float | None = None) -> float:
-    """ln|I - rho*W| - v'Gv/(2 sigma2), with ln|I - rho*W| = log_det when
-    given; raises LinAlgError where det <= 0."""
-    if log_det is None:
-        log_det = log_det_A(data.w, rho)
-    return log_det - 0.5 * _gram_form(beta, rho, data)[1] / sigma2
+def _log_kernel(beta: np.ndarray, sigma2: float, rho: float, data: FslmData) -> float:
+    """ln|I - rho*W| - v'Gv/(2 sigma2); raises LinAlgError where det <= 0."""
+    return log_det_A(data.w, rho) - 0.5 * _gram_form(beta, rho, data)[1] / sigma2
 
 
 def log_likelihood(theta: Theta, data: FslmData) -> float:
@@ -195,20 +191,37 @@ def sigma2_conditional_params(
     return data.n / 2 + prior.a, (_gram_form(beta, rho, data)[1] + 2 * prior.b) / 2
 
 
-def beta_conditional_params(
-    sigma2: float, rho: float, data: FslmData, prior: PriorSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of beta given sigma2 and rho.
+class BetaFactor(NamedTuple):
+    """beta's conditional for one (data, prior), from beta_factor."""
 
-    Precision is Z'Z/sigma2 + Sigma^{-1}; equivalently the covariance
-    is sigma2*(Z'Z + sigma2*Sigma^{-1})^{-1}.
-    """
+    u: np.ndarray   # Z'Z U = Sigma^{-1} U diag(mu) with U' Sigma^{-1} U = I
+    mu: np.ndarray  # clamped at 0
+    ub: np.ndarray  # columns U'G[2:, 0], U'G[2:, 1], U' Sigma^{-1} m
+
+
+def beta_factor(data: FslmData, prior: PriorSpec) -> BetaFactor:
+    """With Sigma = SS' (Cholesky) and S'Z'ZS = Q diag(mu) Q' (eigh), U = SQ."""
+    s = np.linalg.cholesky(prior.sigma_beta)
+    g = data.gram
+    mu, q = np.linalg.eigh(s.T @ g[2:, 2:] @ s)
+    u = s @ q
+    # U' Sigma^{-1} m = Q' S^{-1} m
+    ub = np.column_stack([u.T @ g[2:, :2], q.T @ np.linalg.solve(s, prior.m)])
+    return BetaFactor(u, np.maximum(mu, 0.0), ub)
+
+
+def beta_conditional_params(
+    sigma2: float, rho: float, factor: BetaFactor
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean P^{-1} b of beta given sigma2 and rho, and a square root R of
+    its covariance, RR' = sigma2 P^{-1}, with P = Z'Z + sigma2 Sigma^{-1}:
+    mean = U (d * U'b) and R = U diag(sqrt(sigma2 d)), d = 1/(mu + sigma2),
+    with U'b = ub @ (1, -rho, sigma2)."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    g = data.gram
-    inv = np.linalg.inv(g[2:, 2:] + sigma2 * prior.precision)
-    mean = inv @ (g[2:, 0] - rho * g[2:, 1] + sigma2 * prior.precision_mean)
-    return mean, sigma2 * 0.5 * (inv + inv.T)
+    u, mu, ub = factor
+    d = 1.0 / (mu + sigma2)
+    return u @ (d * (ub @ (1.0, -rho, sigma2))), u * np.sqrt(sigma2 * d)
 
 
 def rho_log_conditional(rho: float, beta: np.ndarray, sigma2: float, data: FslmData) -> float:

@@ -8,10 +8,14 @@ c = STEP_SCALE / sqrt(I), I the curvature of rho's log full conditional
 there.  Each burn-in block of min(100, burn_in // 10) iterations (at
 least one) multiplies c by exp(block acceptance rate - TARGET_ACCEPTANCE)
 (Andrieu & Thoms 2008); then c is frozen.  Proposals off W's domain
-[0, W.rho_max) have zero density and are never accepted.  The current
-rho's ln|I - rho*W| is kept between iterations and recomputed only when a
-proposal is accepted, so an iteration costs 1 + (acceptance rate)
-log-determinants.
+[0, W.rho_max) have zero density and are never accepted.
+
+beta's conditional is factored once per chain (model.beta_factor), so
+its draw is a few k-vector products.  The current rho's log conditional,
+ln|I - rho*W| - r'r/(2 sigma2), reuses the r'r of the sigma2 step's
+scale, (r'r + 2b)/2, and a ln|I - rho*W| kept between iterations and
+recomputed only when a proposal is accepted, so an iteration costs
+1 + (acceptance rate) log-determinants and no matrix factorization.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from .model import (
     FslmData,
     PriorSpec,
     Theta,
-    _log_kernel,
     bic,
     beta_conditional_params,
+    beta_factor,
     rho_information,
     rho_log_conditional,
     sigma2_conditional_params,
@@ -114,16 +118,18 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
     block = min(100, max(1, config.burn_in // 10))
     log_det = log_det_A(data.w, rho)
+    factor = beta_factor(data, prior)
 
     for j in range(config.n_iter):
-        mean, cov = beta_conditional_params(sigma2, rho, data, prior)
-        beta = mean + np.linalg.cholesky(cov) @ rng.standard_normal(k)
+        mean, root = beta_conditional_params(sigma2, rho, factor)
+        beta = mean + root @ rng.standard_normal(k)
 
         shape, scale = sigma2_conditional_params(beta, rho, data, prior)
         sigma2 = scale / rng.gamma(shape)
 
-        # beta and sigma2 changed, but the current rho's log-det did not
-        log_cond_old = _log_kernel(beta, sigma2, rho, data, log_det)
+        # beta and sigma2 changed, but the current rho's log-det did not,
+        # and the scale holds r'r/2 + b
+        log_cond_old = log_det - (scale - prior.b) / sigma2
 
         rho_new = propose_rho(rho, c, config.kernel, rng)
         # -inf off W's domain, so such a proposal is never accepted

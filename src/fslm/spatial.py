@@ -230,16 +230,20 @@ def log_det_A(w: SpatialWeights, rho):
     Errors, naming the first such rho, if a det is zero or negative."""
     lam = w.eigenvalues
     terms = 1.0 - np.multiply.outer(rho, lam)
-    size = np.abs(terms)
-    # a conjugate pair contributes |1 - rho*lambda|^2 > 0, so only the
-    # real eigenvalues set the sign of det
-    real = terms if np.isrealobj(lam) else terms[..., lam.imag == 0].real
-    # inside rho's domain every factor is positive: check per rho only if not
-    if (size <= EIG_RTOL).any() or (real < 0).any():
-        bad = (size <= EIG_RTOL).any(axis=-1) | ((real < 0).sum(axis=-1) % 2 == 1)
-        if bad.any():
-            raise np.linalg.LinAlgError(
-                f"det(I - rho*W) not positive at rho={np.ravel(rho)[np.argmax(bad)]}")
+    if np.isrealobj(lam) and terms.min(initial=np.inf) > EIG_RTOL:
+        # inside rho's domain, where log(terms) = log|terms|: one pass
+        size = terms
+    else:
+        size = np.abs(terms)
+        # a conjugate pair contributes |1 - rho*lambda|^2 > 0, so only the
+        # real eigenvalues set the sign of det
+        real = terms if np.isrealobj(lam) else terms[..., lam.imag == 0].real
+        # inside rho's domain every factor is positive: check per rho only if not
+        if (size <= EIG_RTOL).any() or (real < 0).any():
+            bad = (size <= EIG_RTOL).any(axis=-1) | ((real < 0).sum(axis=-1) % 2 == 1)
+            if bad.any():
+                raise np.linalg.LinAlgError(
+                    f"det(I - rho*W) not positive at rho={np.ravel(rho)[np.argmax(bad)]}")
     log_det = np.log(size).sum(axis=-1)
     return float(log_det) if log_det.ndim == 0 else log_det
 

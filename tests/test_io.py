@@ -46,6 +46,19 @@ def test_write_table_zero_rows_writes_the_header(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == reference_csv(["i", "j", "w"], [], [], [])
 
 
+def test_write_table_bytes_are_17_digit_rows(tmp_path):
+    floats, ints, flags = [-0.0, 5e-324, 1e308, 0.1], [7, -1, 0, 2**53 + 1], [0, 1, 1, 0]
+    fio.write_table(tmp_path / "t.csv", ["x", "i", "flag"],
+                    np.array(floats), np.array(ints), np.array(flags, dtype=bool))
+    rows = [f"{format(x, '.17g')},{i},{b}" for x, i, b in zip(floats, ints, flags)]
+    assert rows[:3] == ["-0,7,0", "4.9406564584124654e-324,-1,1", "1e+308,0,1"]
+    want = "\r\n".join(["x,i,flag", *rows]) + "\r\n"
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    with pytest.raises(ValueError):
+        fio.write_table(tmp_path / "short.csv", ["a", "b"], np.arange(2), np.arange(3.0))
+    assert not (tmp_path / "short.csv").exists()
+
+
 def test_read_weights_csv_refuses_repeated_pair(tmp_path):
     # a later triplet would otherwise silently replace the earlier one
     path = tmp_path / "w.csv"

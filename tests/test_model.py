@@ -12,6 +12,7 @@ from fslm import (
     PriorSpec,
     Theta,
     beta_conditional_params,
+    beta_factor,
     bic,
     log_likelihood,
     rho_log_conditional,
@@ -105,15 +106,15 @@ def test_beta_conditional_no_data_returns_prior():
     n, k = 5, 2
     data = FslmData(y=np.ones(n), z=np.zeros((n, k)), w=weights_from_edges(n, []))
     prior = PriorSpec(m=np.array([1.0, -2.0]), sigma_beta=np.diag([2.0, 3.0]))
-    mean, cov = beta_conditional_params(1.5, 0.0, data, prior)
+    mean, root = beta_conditional_params(1.5, 0.0, beta_factor(data, prior))
     assert np.allclose(mean, prior.m)
-    assert np.allclose(cov, prior.sigma_beta)
+    assert np.allclose(root @ root.T, prior.sigma_beta)
 
 
 def test_beta_conditional_diffuse_limit_is_ols():
     data = make_data(n=30, seed=5)
     prior = PriorSpec(m=np.zeros(2), sigma_beta=1e6 * np.eye(2))
-    mean, _ = beta_conditional_params(1.0, 0.0, data, prior)
+    mean, _ = beta_conditional_params(1.0, 0.0, beta_factor(data, prior))
     ols, *_ = np.linalg.lstsq(data.z, data.y, rcond=None)
     assert np.abs(mean - ols).max() / np.abs(ols).max() < 1e-4
 
@@ -126,11 +127,11 @@ def test_beta_conditional_scalar_conjugacy():
     data = FslmData(y=y, z=np.ones((n, 1)), w=weights_from_edges(n, []))
     m0, v0, sigma2 = 0.5, 4.0, 2.0
     prior = PriorSpec(m=np.array([m0]), sigma_beta=np.array([[v0]]))
-    mean, cov = beta_conditional_params(sigma2, 0.0, data, prior)
+    mean, root = beta_conditional_params(sigma2, 0.0, beta_factor(data, prior))
     post_var = 1 / (n / sigma2 + 1 / v0)
     post_mean = post_var * (y.sum() / sigma2 + m0 / v0)
     assert mean[0] == pytest.approx(post_mean, abs=1e-12)
-    assert cov[0, 0] == pytest.approx(post_var, abs=1e-12)
+    assert (root @ root.T)[0, 0] == pytest.approx(post_var, abs=1e-12)
 
 
 def test_beta_conditional_cov_spd():
@@ -144,11 +145,50 @@ def test_beta_conditional_cov_spd():
         )
         q = rng.standard_normal((k, k))
         prior = PriorSpec(m=rng.standard_normal(k), sigma_beta=q @ q.T + k * np.eye(k))
-        _, cov = beta_conditional_params(
-            float(rng.uniform(0.2, 3)), float(rng.uniform(0, 0.9)), data, prior
+        _, root = beta_conditional_params(
+            float(rng.uniform(0.2, 3)), float(rng.uniform(0, 0.9)), beta_factor(data, prior)
         )
+        cov = root @ root.T
         assert np.allclose(cov, cov.T)
         np.linalg.cholesky(cov)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    extra=st.integers(0, 16),
+    rank_deficient=st.booleans(),
+    log_sigma2=st.floats(-6.0, 6.0),
+    rho=st.floats(0.0, 0.9),
+)
+def test_beta_factor_matches_solve_and_inverse(seed, k, extra, rank_deficient, log_sigma2,
+                                               rho):
+    rng = np.random.default_rng(seed)
+    n = k + 3 + extra
+    z = rng.standard_normal((n, k))
+    if rank_deficient:  # a null direction of Z'Z: mu = 0
+        z[:, -1] = z[:, :-1] @ rng.standard_normal(k - 1) if k > 1 else 0.0
+    data = FslmData(y=3.0 * rng.standard_normal(n), z=z,
+                    w=weights_from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+    q = rng.standard_normal((k, k))
+    prior = PriorSpec(m=rng.standard_normal(k), sigma_beta=q @ q.T + 0.5 * np.eye(k))
+    sigma2 = 10.0**log_sigma2
+    factor = beta_factor(data, prior)
+    if rank_deficient:
+        assert factor.mu.min() <= 1e-12 * max(1.0, factor.mu.max())
+    mean, root = beta_conditional_params(sigma2, rho, factor)
+
+    g = data.gram
+    p = g[2:, 2:] + sigma2 * np.linalg.inv(prior.sigma_beta)
+    b = g[2:, 0] - rho * g[2:, 1] + sigma2 * np.linalg.solve(prior.sigma_beta, prior.m)
+    # 1e-10 relative, or the rounding that P's conditioning allows any
+    # float64 method (at sigma2 = 1e-6 and mu = 0, cond(P) reaches 1e8)
+    tol = max(1e-10, 16 * np.finfo(float).eps * np.linalg.cond(p))
+    want = np.linalg.solve(p, b)
+    assert np.linalg.norm(mean - want) <= tol * np.linalg.norm(want)
+    cov = sigma2 * np.linalg.inv(p)
+    assert np.linalg.norm(root @ root.T - cov) <= tol * np.linalg.norm(cov)
 
 
 def test_rho_conditional_constant_when_w_zero():
@@ -269,9 +309,10 @@ def test_gibbs_conditionals_match_grid_posterior():
     rng2 = np.random.default_rng(15)
     beta, sigma2 = np.array([0.0]), 1.0
     draws_b, draws_s = [], []
+    factor = beta_factor(data, prior)
     for _ in range(40_000):
-        mean, cov = beta_conditional_params(sigma2, rho, data, prior)
-        beta = mean + np.sqrt(cov[0, 0]) * rng2.standard_normal(1)
+        mean, root = beta_conditional_params(sigma2, rho, factor)
+        beta = mean + root @ rng2.standard_normal(1)
         shape, scale = sigma2_conditional_params(beta, rho, data, prior)
         sigma2 = scale / rng2.gamma(shape)
         draws_b.append(beta[0])
@@ -298,15 +339,6 @@ def test_data_products_cached():
         data.y[0] = 1.0  # read-only, so the cached products cannot go stale
     with pytest.raises(ValueError):
         data.gram[0, 0] = 1.0
-
-
-def test_prior_precision_cached():
-    sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
-    prior = PriorSpec(m=np.array([1.0, -1.0]), sigma_beta=sigma)
-    assert prior.precision == pytest.approx(np.linalg.inv(sigma), abs=1e-12)
-    assert prior.precision_mean == pytest.approx(
-        np.linalg.solve(sigma, [1.0, -1.0]), abs=1e-12)
-    assert prior.precision is prior.precision
 
 
 def test_rho_conditional_vanishes_where_singular():
@@ -394,9 +426,9 @@ def test_gram_kernel_matches_vector_residual(seed, k, extra, density, standardiz
     shape, scale = sigma2_conditional_params(beta, rho, data, prior)
     assert shape == want["sigma2_params"][0]
     assert scale == pytest.approx(want["sigma2_params"][1], rel=1e-10)
-    mean, cov = beta_conditional_params(sigma2, rho, data, prior)
+    mean, root = beta_conditional_params(sigma2, rho, beta_factor(data, prior))
     assert mean == pytest.approx(want["beta_params"][0], rel=1e-8, abs=1e-10)
-    assert cov == pytest.approx(want["beta_params"][1], rel=1e-8, abs=1e-12)
+    assert root @ root.T == pytest.approx(want["beta_params"][1], rel=1e-8, abs=1e-12)
 
     hess = want["hess"]
     assume(np.linalg.cond(hess) < 1e8)

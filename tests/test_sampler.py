@@ -22,6 +22,7 @@ from fslm import (
 )
 from fslm.model import (
     beta_conditional_params,
+    beta_factor,
     bic,
     rho_information,
     sigma2_conditional_params,
@@ -216,9 +217,10 @@ def chain_with_two_log_dets_per_iteration(data, prior, config):
     info = rho_information(sigma2, rho, data)
     c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
     block = min(100, max(1, config.burn_in // 10))
+    factor = beta_factor(data, prior)
     for j in range(config.n_iter):
-        mean, cov = beta_conditional_params(sigma2, rho, data, prior)
-        beta = mean + np.linalg.cholesky(cov) @ rng.standard_normal(data.k)
+        mean, root = beta_conditional_params(sigma2, rho, factor)
+        beta = mean + root @ rng.standard_normal(data.k)
         shape, scale = sigma2_conditional_params(beta, rho, data, prior)
         sigma2 = scale / rng.gamma(shape)
         log_cond_old = rho_log_conditional(rho, beta, sigma2, data)
@@ -260,6 +262,26 @@ def test_log_det_computed_once_per_iteration_and_accepted_move(small_problem, mo
     chain = run_mwg(*small_problem, cfg)
     assert 0 < chain.accepted.sum() < cfg.n_iter
     assert len(calls) <= 1 + cfg.n_iter + chain.accepted.sum()
+
+
+def test_iteration_makes_no_linalg_call(monkeypatch):
+    # beta's conditional is factored once per chain, so the chain's
+    # np.linalg calls do not grow with its length
+    calls = []
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type) and not name.startswith("_"):
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _fn=fn, _name=name, **kw:
+                                calls.append(_name) or _fn(*a, **kw))
+    counts = []
+    for n_iter in (50, 500):
+        # fresh data and prior, so that their cached products count each time
+        data = make_dataset(SimulationSpec(seed=4), row_standardize(grid_contiguity(5, 5))).data
+        calls.clear()
+        run_mwg(data, PriorSpec.diffuse(data.k), MhConfig(n_iter=n_iter, burn_in=20, seed=3))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.fixture(scope="module")
