@@ -21,6 +21,8 @@ from .model import (
     bic,
     log_likelihood,
     rho_log_conditional,
+    rss_at,
+    rss_quadratic,
     sigma2_conditional_params,
 )
 from .sampler import (

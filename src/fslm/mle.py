@@ -57,11 +57,14 @@ def fit_ml(data: FslmData) -> Estimate:
         warnings.warn("concentrated likelihood looks multimodal on the interval")
     while True:
         i_best = int(np.argmax(vals))
-        lo, hi = grid[max(i_best - 1, 0)], grid[min(i_best + 1, grid.size - 1)]
+        i_lo, i_hi = max(i_best - 1, 0), min(i_best + 1, grid.size - 1)
+        lo, hi = grid[i_lo], grid[i_hi]
         if hi - lo <= 1e-8:
             break
         grid = np.linspace(lo, hi, RESCAN_POINTS)
-        vals = concentrated_loglik(grid, data)
+        # linspace keeps both ends exact, so their values are known
+        vals = np.concatenate(([vals[i_lo]], concentrated_loglik(grid[1:-1], data),
+                               [vals[i_hi]]))
     rho_hat = 0.5 * (lo + hi)
 
     beta_hat = data.ols_pair[0] @ (1.0, -rho_hat)

@@ -4,21 +4,26 @@ model with score-matrix design.
 The model is y = rho*W*y + Z*beta + eps, eps ~ N(0, sigma2*I).  With
 A = I - rho*W and v = (1, -rho, -beta), the data enter only through the
 Gram matrix G = X'X of X = [y, Wy, Z] (LeSage & Pace 2009, ch. 3):
-||A y - Z beta||^2 = v'Gv.  log_likelihood and rho_log_conditional are
-two views of one kernel, ln|A| - v'Gv/(2 sigma2), with ln|A| from W's
-eigenvalues (spatial.log_det_A).  Conditionals:
+r'r = ||A y - Z beta||^2 = v'Gv, and ln|A| comes from W's eigenvalues
+(spatial.log_det_A).  log_likelihood (and so BIC and ML) reads v'Gv.
+Conditionals:
 
-  sigma2 | beta, rho  ~  InvGamma(n/2 + a, (v'Gv + 2b)/2)
+  sigma2 | beta, rho  ~  InvGamma(n/2 + a, (r'r + 2b)/2)
   beta   | sigma2, rho ~  N(P^{-1} b, sigma2 P^{-1}), P = Z'Z + sigma2 Sigma^{-1},
                           b = Z'A y + sigma2 Sigma^{-1} m
-  rho    | beta, sigma2   has no standard form (the |A| term), handled by
-                          a Metropolis step in the sampler.
+  rho    | beta, sigma2   ln|A| - r'r(rho)/(2 sigma2) up to a constant, no
+                          standard form: a Metropolis step in the sampler.
 
 beta's conditional is factored once per (data, prior) by beta_factor:
 the generalized eigenproblem Z'Z u = mu Sigma^{-1} u, with
 U' Sigma^{-1} U = I, gives P^{-1} = U diag(d) U', d = 1/(mu + sigma2),
-and U'b is linear in rho and sigma2.  beta_conditional_params then costs
-a few k-vector operations and no factorization.
+and U'b is linear in rho and sigma2.  In the coordinates s of beta = U s
+the conditional is independent normals, s_i ~ N(d_i (U'b)_i, sigma2 d_i),
+so beta_conditional_params costs a few k-vector operations.  At fixed
+beta, r'r is a quadratic in rho, a - 2b rho + c rho^2, and since
+U'Z'ZU = diag(mu) its coefficients (rss_quadratic) are read from s, the
+factor and G in O(k); the sigma2 step and rho's conditional at any
+proposal then evaluate it in O(1) (rss_at).
 
 rho's prior is flat on W's domain [0, W.rho_max), where det(A) > 0.
 """
@@ -43,6 +48,8 @@ __all__ = [
     "BetaFactor",
     "beta_factor",
     "beta_conditional_params",
+    "rss_quadratic",
+    "rss_at",
     "rho_log_conditional",
     "rho_information",
     "sigma2_hat",
@@ -112,9 +119,19 @@ class PriorSpec:
     def __post_init__(self):
         object.__setattr__(self, "m", read_only(self.m))
         object.__setattr__(self, "sigma_beta", read_only(self.sigma_beta))
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("a and b must be positive")
-        np.linalg.cholesky(self.sigma_beta)  # raises if not SPD
+        m, s = self.m, self.sigma_beta
+        if m.ndim != 1 or s.shape != (m.size, m.size):
+            raise ValueError(f"sigma_beta must be k x k for an m of length k, not {s.shape}")
+        for name, value in (("m", m), ("sigma_beta", s)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("a", "b"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        # cholesky reads only the lower triangle
+        if np.abs(s - s.T).max(initial=0.0) > 1e-12 * np.abs(s).max(initial=0.0):
+            raise ValueError("sigma_beta must be symmetric")
+        np.linalg.cholesky(s)  # raises if not SPD
 
     @classmethod
     def diffuse(cls, k: int) -> "PriorSpec":
@@ -169,26 +186,13 @@ def _gram_form(beta: np.ndarray, rho: float, data: FslmData) -> tuple[np.ndarray
     return gv, max(float(v @ gv), 0.0)
 
 
-def _log_kernel(beta: np.ndarray, sigma2: float, rho: float, data: FslmData) -> float:
-    """ln|I - rho*W| - v'Gv/(2 sigma2); raises LinAlgError where det <= 0."""
-    return log_det_A(data.w, rho) - 0.5 * _gram_form(beta, rho, data)[1] / sigma2
-
-
 def log_likelihood(theta: Theta, data: FslmData) -> float:
     """Gaussian log-likelihood with the |I - rho*W| Jacobian term."""
     if theta.sigma2 <= 0:
         raise ValueError("sigma2 must be positive for density evaluation")
-    return float(
-        -0.5 * data.n * np.log(2 * np.pi * theta.sigma2)
-        + _log_kernel(theta.beta, theta.sigma2, theta.rho, data)
-    )
-
-
-def sigma2_conditional_params(
-    beta: np.ndarray, rho: float, data: FslmData, prior: PriorSpec
-) -> tuple[float, float]:
-    """Inverse-gamma (shape, scale) of sigma2 given beta and rho."""
-    return data.n / 2 + prior.a, (_gram_form(beta, rho, data)[1] + 2 * prior.b) / 2
+    rr = _gram_form(theta.beta, theta.rho, data)[1]
+    return float(-0.5 * data.n * np.log(2 * np.pi * theta.sigma2)
+                 + (log_det_A(data.w, theta.rho) - 0.5 * rr / theta.sigma2))
 
 
 class BetaFactor(NamedTuple):
@@ -201,6 +205,8 @@ class BetaFactor(NamedTuple):
 
 def beta_factor(data: FslmData, prior: PriorSpec) -> BetaFactor:
     """With Sigma = SS' (Cholesky) and S'Z'ZS = Q diag(mu) Q' (eigh), U = SQ."""
+    if prior.m.size != data.k:
+        raise ValueError(f"m has {prior.m.size} entries, but the data have k = {data.k}")
     s = np.linalg.cholesky(prior.sigma_beta)
     g = data.gram
     mu, q = np.linalg.eigh(s.T @ g[2:, 2:] @ s)
@@ -213,19 +219,43 @@ def beta_factor(data: FslmData, prior: PriorSpec) -> BetaFactor:
 def beta_conditional_params(
     sigma2: float, rho: float, factor: BetaFactor
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean P^{-1} b of beta given sigma2 and rho, and a square root R of
-    its covariance, RR' = sigma2 P^{-1}, with P = Z'Z + sigma2 Sigma^{-1}:
-    mean = U (d * U'b) and R = U diag(sqrt(sigma2 d)), d = 1/(mu + sigma2),
+    """Means and sds of beta's coordinates s, beta = U s, given sigma2 and
+    rho; they are independent: s ~ N(d * U'b, sigma2 d), d = 1/(mu + sigma2),
     with U'b = ub @ (1, -rho, sigma2)."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    u, mu, ub = factor
+    _, mu, ub = factor
     d = 1.0 / (mu + sigma2)
-    return u @ (d * (ub @ (1.0, -rho, sigma2))), u * np.sqrt(sigma2 * d)
+    return d * (ub @ (1.0, -rho, sigma2)), np.sqrt(sigma2 * d)
 
 
-def rho_log_conditional(rho: float, beta: np.ndarray, sigma2: float, data: FslmData) -> float:
-    """Unnormalized log full conditional of rho (flat prior on its domain).
+def rss_quadratic(s: np.ndarray, factor: BetaFactor, data: FslmData) -> tuple[float, float, float]:
+    """(a, b, c) with r'r = a - 2b rho + c rho^2 for r = (I - rho*W) y - Z beta
+    and beta = U s: a = G00 - 2 s.U'Z'y + sum mu s^2, b = G01 - s.U'Z'Wy
+    and c = G11, as U'Z'ZU = diag(mu)."""
+    g = data.gram
+    sy, swy, _ = (s @ factor.ub).tolist()
+    return g[0, 0] - 2.0 * sy + float(factor.mu @ (s * s)), g[0, 1] - swy, g[1, 1]
+
+
+def rss_at(quadratic: tuple[float, float, float], rho: float) -> float:
+    """r'r at rho from rss_quadratic's coefficients; clamped at 0, as at an
+    exact fit its rounding error has either sign."""
+    a, b, c = quadratic
+    return max(a - rho * (2.0 * b - c * rho), 0.0)
+
+
+def sigma2_conditional_params(rss: float, data: FslmData, prior: PriorSpec) -> tuple[float, float]:
+    """Inverse-gamma (shape, scale) of sigma2 given beta and rho, whose
+    residual sum of squares is rss."""
+    return data.n / 2 + prior.a, (rss + 2 * prior.b) / 2
+
+
+def rho_log_conditional(rho: float, quadratic: tuple[float, float, float], sigma2: float,
+                        data: FslmData) -> float:
+    """Unnormalized log full conditional of rho (flat prior on its domain),
+    ln|I - rho*W| - r'r(rho)/(2 sigma2), with r'r(rho) from beta's
+    rss_quadratic.
 
     Returns -inf outside [0, W.rho_max), and where I - rho*W is singular
     to rounding.
@@ -233,7 +263,7 @@ def rho_log_conditional(rho: float, beta: np.ndarray, sigma2: float, data: FslmD
     if not 0.0 <= rho < data.w.rho_max:
         return -np.inf
     try:
-        return _log_kernel(beta, sigma2, rho, data)
+        return log_det_A(data.w, rho) - 0.5 * rss_at(quadratic, rho) / sigma2
     except np.linalg.LinAlgError:
         return -np.inf
 

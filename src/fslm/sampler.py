@@ -10,12 +10,16 @@ least one) multiplies c by exp(block acceptance rate - TARGET_ACCEPTANCE)
 (Andrieu & Thoms 2008); then c is frozen.  Proposals off W's domain
 [0, W.rho_max) have zero density and are never accepted.
 
-beta's conditional is factored once per chain (model.beta_factor), so
-its draw is a few k-vector products.  The current rho's log conditional,
-ln|I - rho*W| - r'r/(2 sigma2), reuses the r'r of the sigma2 step's
-scale, (r'r + 2b)/2, and a ln|I - rho*W| kept between iterations and
-recomputed only when a proposal is accepted, so an iteration costs
-1 + (acceptance rate) log-determinants and no matrix factorization.
+beta's conditional is factored once per chain (model.beta_factor), and
+beta is drawn in the factor's coordinates s, beta = U s: independent
+normals, so a draw is a few k-vector products, and the chain forms its
+beta draws S U' once, at its end.  From s the iteration reads r'r as a
+quadratic in rho (model.rss_quadratic), once; the sigma2 step and the
+current and proposed rho's log conditionals, ln|I - rho*W| -
+r'r(rho)/(2 sigma2), evaluate it.  The current rho's ln|I - rho*W| is
+kept between iterations; an accepted proposal's is recovered from its
+log conditional.  An iteration therefore costs one log-determinant (none
+for a proposal off W's domain) and no matrix factorization.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .model import (
     beta_factor,
     rho_information,
     rho_log_conditional,
+    rss_at,
+    rss_quadratic,
     sigma2_conditional_params,
     sigma2_hat,
 )
@@ -106,13 +112,13 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     theta = default_init(data)
 
     k = data.k
-    draws_beta = np.empty((config.n_iter, k))
+    draws_s = np.empty((config.n_iter, k))  # beta's coordinates, beta = U s
     draws_sigma2 = np.empty(config.n_iter)
     draws_rho = np.empty(config.n_iter)
     accepted = np.zeros(config.n_iter, dtype=bool)
     tuning_trace = []
 
-    beta, sigma2, rho = theta.beta, theta.sigma2, theta.rho
+    sigma2, rho = theta.sigma2, theta.rho
     # W = 0 gives I = 0, and complex eigenvalue pairs can make I negative
     info = rho_information(sigma2, rho, data)
     c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
@@ -121,25 +127,27 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     factor = beta_factor(data, prior)
 
     for j in range(config.n_iter):
-        mean, root = beta_conditional_params(sigma2, rho, factor)
-        beta = mean + root @ rng.standard_normal(k)
+        mean, sd = beta_conditional_params(sigma2, rho, factor)
+        s = mean + sd * rng.standard_normal(k)
+        quadratic = rss_quadratic(s, factor, data)
+        rss = rss_at(quadratic, rho)
 
-        shape, scale = sigma2_conditional_params(beta, rho, data, prior)
+        shape, scale = sigma2_conditional_params(rss, data, prior)
         sigma2 = scale / rng.gamma(shape)
 
-        # beta and sigma2 changed, but the current rho's log-det did not,
-        # and the scale holds r'r/2 + b
-        log_cond_old = log_det - (scale - prior.b) / sigma2
+        # beta and sigma2 changed, but the current rho's log-det did not
+        log_cond_old = log_det - 0.5 * rss / sigma2
 
         rho_new = propose_rho(rho, c, config.kernel, rng)
         # -inf off W's domain, so such a proposal is never accepted
-        log_cond_new = rho_log_conditional(rho_new, beta, sigma2, data)
-        accept = np.log(rng.uniform()) < min(log_cond_new - log_cond_old, 0.0)
+        log_cond_new = rho_log_conditional(rho_new, quadratic, sigma2, data)
+        accept = np.log(rng.random()) < min(log_cond_new - log_cond_old, 0.0)
         if accept:
             rho = rho_new
-            log_det = log_det_A(data.w, rho)
+            # the proposal's log-det, recovered from its log conditional
+            log_det = log_cond_new + 0.5 * rss_at(quadratic, rho) / sigma2
 
-        draws_beta[j] = beta
+        draws_s[j] = s
         draws_sigma2[j] = sigma2
         draws_rho[j] = rho
         accepted[j] = accept
@@ -149,7 +157,7 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
             tuning_trace.append(c)
 
     return Chain(
-        draws_beta=draws_beta,
+        draws_beta=draws_s @ factor.u.T,
         draws_sigma2=draws_sigma2,
         draws_rho=draws_rho,
         accepted=accepted,

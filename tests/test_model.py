@@ -21,6 +21,7 @@ from fslm import (
     weights_from_edges,
 )
 from fslm.mle import _observed_info_std
+from fslm.model import rss_at, rss_quadratic
 
 
 def make_data(n=6, k=2, seed=0, edges=None):
@@ -31,6 +32,19 @@ def make_data(n=6, k=2, seed=0, edges=None):
     z = rng.standard_normal((n, k))
     y = rng.standard_normal(n)
     return FslmData(y=y, z=z, w=w)
+
+
+def beta_params(sigma2, rho, factor):
+    """beta's conditional mean and a square root R of its covariance,
+    RR' = sigma2 P^{-1}, from its coordinates' means and sds: beta = U s."""
+    mean, sd = beta_conditional_params(sigma2, rho, factor)
+    return factor.u @ mean, factor.u * sd
+
+
+def quadratic_at(beta, data, prior=None):
+    """rss_quadratic's coefficients at beta, whose coordinates solve U s = beta."""
+    factor = beta_factor(data, prior or PriorSpec.diffuse(data.k))
+    return rss_quadratic(np.linalg.solve(factor.u, beta), factor, data)
 
 
 def test_loglik_standard_normal_origin():
@@ -75,7 +89,8 @@ def test_sigma2_conditional_zero_residual():
     prior = PriorSpec.diffuse(2)
     # choose beta/rho giving the exact residual structure
     data = FslmData(y=data.z @ np.array([1.0, 2.0]), z=data.z, w=data.w)
-    shape, scale = sigma2_conditional_params(np.array([1.0, 2.0]), 0.0, data, prior)
+    rss = rss_at(quadratic_at(np.array([1.0, 2.0]), data, prior), 0.0)
+    shape, scale = sigma2_conditional_params(rss, data, prior)
     assert shape == pytest.approx(data.n / 2 + prior.a)
     assert scale == pytest.approx(prior.b)
 
@@ -86,7 +101,8 @@ def test_sigma2_conditional_arithmetic():
     z = np.zeros((4, 1))
     data = FslmData(y=y, z=z, w=w)
     prior = PriorSpec(m=np.zeros(1), sigma_beta=np.eye(1), a=0.001, b=0.001)
-    shape, scale = sigma2_conditional_params(np.zeros(1), 0.0, data, prior)
+    shape, scale = sigma2_conditional_params(rss_at(quadratic_at(np.zeros(1), data, prior), 0.0),
+                                             data, prior)
     assert shape == pytest.approx(2.001)
     assert scale == pytest.approx(1.001)
 
@@ -106,7 +122,7 @@ def test_beta_conditional_no_data_returns_prior():
     n, k = 5, 2
     data = FslmData(y=np.ones(n), z=np.zeros((n, k)), w=weights_from_edges(n, []))
     prior = PriorSpec(m=np.array([1.0, -2.0]), sigma_beta=np.diag([2.0, 3.0]))
-    mean, root = beta_conditional_params(1.5, 0.0, beta_factor(data, prior))
+    mean, root = beta_params(1.5, 0.0, beta_factor(data, prior))
     assert np.allclose(mean, prior.m)
     assert np.allclose(root @ root.T, prior.sigma_beta)
 
@@ -114,7 +130,7 @@ def test_beta_conditional_no_data_returns_prior():
 def test_beta_conditional_diffuse_limit_is_ols():
     data = make_data(n=30, seed=5)
     prior = PriorSpec(m=np.zeros(2), sigma_beta=1e6 * np.eye(2))
-    mean, _ = beta_conditional_params(1.0, 0.0, beta_factor(data, prior))
+    mean, _ = beta_params(1.0, 0.0, beta_factor(data, prior))
     ols, *_ = np.linalg.lstsq(data.z, data.y, rcond=None)
     assert np.abs(mean - ols).max() / np.abs(ols).max() < 1e-4
 
@@ -127,7 +143,7 @@ def test_beta_conditional_scalar_conjugacy():
     data = FslmData(y=y, z=np.ones((n, 1)), w=weights_from_edges(n, []))
     m0, v0, sigma2 = 0.5, 4.0, 2.0
     prior = PriorSpec(m=np.array([m0]), sigma_beta=np.array([[v0]]))
-    mean, root = beta_conditional_params(sigma2, 0.0, beta_factor(data, prior))
+    mean, root = beta_params(sigma2, 0.0, beta_factor(data, prior))
     post_var = 1 / (n / sigma2 + 1 / v0)
     post_mean = post_var * (y.sum() / sigma2 + m0 / v0)
     assert mean[0] == pytest.approx(post_mean, abs=1e-12)
@@ -145,7 +161,7 @@ def test_beta_conditional_cov_spd():
         )
         q = rng.standard_normal((k, k))
         prior = PriorSpec(m=rng.standard_normal(k), sigma_beta=q @ q.T + k * np.eye(k))
-        _, root = beta_conditional_params(
+        _, root = beta_params(
             float(rng.uniform(0.2, 3)), float(rng.uniform(0, 0.9)), beta_factor(data, prior)
         )
         cov = root @ root.T
@@ -177,7 +193,7 @@ def test_beta_factor_matches_solve_and_inverse(seed, k, extra, rank_deficient, l
     factor = beta_factor(data, prior)
     if rank_deficient:
         assert factor.mu.min() <= 1e-12 * max(1.0, factor.mu.max())
-    mean, root = beta_conditional_params(sigma2, rho, factor)
+    mean, root = beta_params(sigma2, rho, factor)
 
     g = data.gram
     p = g[2:, 2:] + sigma2 * np.linalg.inv(prior.sigma_beta)
@@ -193,15 +209,16 @@ def test_beta_factor_matches_solve_and_inverse(seed, k, extra, rank_deficient, l
 
 def test_rho_conditional_constant_when_w_zero():
     data = make_data(edges=[], seed=8)
-    beta = np.array([0.1, 0.2])
-    vals = [rho_log_conditional(r, beta, 1.0, data) for r in (0.0, 0.3, 0.9)]
+    quadratic = quadratic_at(np.array([0.1, 0.2]), data)
+    vals = [rho_log_conditional(r, quadratic, 1.0, data) for r in (0.0, 0.3, 0.9)]
     assert np.ptp(vals) < 1e-12
 
 
 def test_rho_conditional_outside_support():
     data = make_data()
-    assert rho_log_conditional(1.5, np.zeros(2), 1.0, data) == -np.inf
-    assert rho_log_conditional(-0.1, np.zeros(2), 1.0, data) == -np.inf
+    quadratic = quadratic_at(np.zeros(2), data)
+    assert rho_log_conditional(1.5, quadratic, 1.0, data) == -np.inf
+    assert rho_log_conditional(-0.1, quadratic, 1.0, data) == -np.inf
 
 
 def test_rho_conditional_matches_loglik_at_zero():
@@ -209,7 +226,7 @@ def test_rho_conditional_matches_loglik_at_zero():
     beta, sigma2 = np.array([0.3, -0.7]), 1.3
     const = -0.5 * data.n * np.log(2 * np.pi * sigma2)
     ll = log_likelihood(Theta(beta=beta, sigma2=sigma2, rho=0.0), data)
-    assert rho_log_conditional(0.0, beta, sigma2, data) == pytest.approx(
+    assert rho_log_conditional(0.0, quadratic_at(beta, data), sigma2, data) == pytest.approx(
         ll - const, abs=1e-10
     )
 
@@ -223,9 +240,10 @@ def test_rho_conditional_differences_match_loglik():
         y=rng.standard_normal(9), z=rng.standard_normal((9, 2)), w=w
     )
     beta, sigma2 = rng.standard_normal(2), 0.8
+    quadratic = quadratic_at(beta, data)
     for r1, r2 in [(0.1, 0.6), (0.0, 0.9), (0.25, 0.3)]:
-        d_cond = rho_log_conditional(r1, beta, sigma2, data) - rho_log_conditional(
-            r2, beta, sigma2, data
+        d_cond = rho_log_conditional(r1, quadratic, sigma2, data) - rho_log_conditional(
+            r2, quadratic, sigma2, data
         )
         d_ll = log_likelihood(
             Theta(beta=beta, sigma2=sigma2, rho=r1), data
@@ -240,8 +258,9 @@ def test_rho_conditional_normalizes_to_one():
     w = row_standardize(grid_contiguity(3, 3))
     data = FslmData(y=rng.standard_normal(9), z=rng.standard_normal((9, 2)), w=w)
     beta, sigma2 = rng.standard_normal(2), 1.0
+    quadratic = quadratic_at(beta, data)
     grid = np.linspace(0, 1, 10_001)
-    logs = np.array([rho_log_conditional(r, beta, sigma2, data) for r in grid])
+    logs = np.array([rho_log_conditional(r, quadratic, sigma2, data) for r in grid])
     dens = np.exp(logs - logs.max())
     dens /= trapezoid(dens, grid)
     assert trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
@@ -307,15 +326,16 @@ def test_gibbs_conditionals_match_grid_posterior():
 
     # Gibbs on the same two blocks with rho fixed
     rng2 = np.random.default_rng(15)
-    beta, sigma2 = np.array([0.0]), 1.0
+    sigma2 = 1.0
     draws_b, draws_s = [], []
     factor = beta_factor(data, prior)
     for _ in range(40_000):
-        mean, root = beta_conditional_params(sigma2, rho, factor)
-        beta = mean + root @ rng2.standard_normal(1)
-        shape, scale = sigma2_conditional_params(beta, rho, data, prior)
+        mean, sd = beta_conditional_params(sigma2, rho, factor)
+        s = mean + sd * rng2.standard_normal(1)
+        rss = rss_at(rss_quadratic(s, factor, data), rho)
+        shape, scale = sigma2_conditional_params(rss, data, prior)
         sigma2 = scale / rng2.gamma(shape)
-        draws_b.append(beta[0])
+        draws_b.append((factor.u @ s)[0])
         draws_s.append(sigma2)
     draws_b, draws_s = np.array(draws_b[2000:]), np.array(draws_s[2000:])
 
@@ -345,11 +365,11 @@ def test_rho_conditional_vanishes_where_singular():
     # W = [[0, 1], [1, 0]] makes I - W singular and det(I - rho W) < 0
     # for rho > 1; just below 1 the factor 1 - rho is rounding
     data = make_data(n=2, k=1, seed=14)
-    beta = np.zeros(1)
+    quadratic = quadratic_at(np.zeros(1), data)
     assert data.w.rho_max == 1.0
     for rho in (1.0, 1.5, 1.0 - 1e-13):
-        assert rho_log_conditional(rho, beta, 1.0, data) == -np.inf
-    assert np.isfinite(rho_log_conditional(0.5, beta, 1.0, data))
+        assert rho_log_conditional(rho, quadratic, 1.0, data) == -np.inf
+    assert np.isfinite(rho_log_conditional(0.5, quadratic, 1.0, data))
 
 
 def vector_residual_oracle(beta, sigma2, rho, data, prior):
@@ -420,13 +440,14 @@ def test_gram_kernel_matches_vector_residual(seed, k, extra, density, standardiz
     theta = Theta(beta=beta, sigma2=sigma2, rho=rho)
     loglik = log_likelihood(theta, data)
     assert loglik == pytest.approx(want["loglik"], rel=1e-10, abs=1e-10)
-    assert rho_log_conditional(rho_c, beta, sigma2, data) == pytest.approx(
+    quadratic = quadratic_at(beta, data, prior)
+    assert rho_log_conditional(rho_c, quadratic, sigma2, data) == pytest.approx(
         vector_residual_oracle(beta, sigma2, rho_c, data, prior)["rho_cond"],
         rel=1e-10, abs=1e-10)
-    shape, scale = sigma2_conditional_params(beta, rho, data, prior)
+    shape, scale = sigma2_conditional_params(rss_at(quadratic, rho), data, prior)
     assert shape == want["sigma2_params"][0]
     assert scale == pytest.approx(want["sigma2_params"][1], rel=1e-10)
-    mean, root = beta_conditional_params(sigma2, rho, beta_factor(data, prior))
+    mean, root = beta_params(sigma2, rho, beta_factor(data, prior))
     assert mean == pytest.approx(want["beta_params"][0], rel=1e-8, abs=1e-10)
     assert root @ root.T == pytest.approx(want["beta_params"][1], rel=1e-8, abs=1e-12)
 
@@ -440,7 +461,7 @@ def test_gram_kernel_matches_vector_residual(seed, k, extra, density, standardiz
 
 def test_exact_fit_squared_residual_is_not_negative():
     # y = Z beta at rho = 0: the residual is exactly zero, and the expanded
-    # v'Gv reads a rounding error of either sign there
+    # quadratic reads a rounding error of either sign there
     prior = PriorSpec.diffuse(3)
     w = weights_from_edges(30, [(i, i + 1) for i in range(29)])
     for seed in range(50):
@@ -448,6 +469,36 @@ def test_exact_fit_squared_residual_is_not_negative():
         z = rng.standard_normal((30, 3))
         beta = 10.0 * rng.standard_normal(3)
         data = FslmData(y=z @ beta, z=z, w=w)
-        _, scale = sigma2_conditional_params(beta, 0.0, data, prior)
+        quadratic = quadratic_at(beta, data, prior)
+        _, scale = sigma2_conditional_params(rss_at(quadratic, 0.0), data, prior)
         assert scale >= prior.b
-        assert rho_log_conditional(0.0, beta, 1e-6, data) <= 0.0
+        assert rho_log_conditional(0.0, quadratic, 1e-6, data) <= 0.0
+
+
+@pytest.mark.parametrize("fields, name", [
+    (dict(m=np.zeros(5), sigma_beta=np.eye(3)), "sigma_beta"),
+    (dict(m=np.zeros((2, 1)), sigma_beta=np.eye(2)), "sigma_beta"),
+    (dict(m=np.array([0.0, np.nan]), sigma_beta=np.eye(2)), "m"),
+    (dict(m=np.zeros(2), sigma_beta=np.diag([1.0, np.inf])), "sigma_beta"),
+    (dict(m=np.zeros(2), sigma_beta=np.eye(2), a=np.nan), "a"),
+    (dict(m=np.zeros(2), sigma_beta=np.eye(2), a=0.0), "a"),
+    (dict(m=np.zeros(2), sigma_beta=np.eye(2), b=np.inf), "b"),
+    (dict(m=np.zeros(2), sigma_beta=np.eye(2), b=-1.0), "b"),
+    # cholesky would read only the lower triangle, identity here
+    (dict(m=np.zeros(2), sigma_beta=np.array([[1.0, 0.5], [0.0, 1.0]])), "sigma_beta"),
+])
+def test_prior_refuses_invalid_fields_naming_them(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        PriorSpec(**fields)
+
+
+def test_prior_of_another_k_is_refused_before_any_draw(monkeypatch):
+    import fslm.sampler
+    from fslm import MhConfig, run_mwg
+
+    draws = []
+    monkeypatch.setattr(fslm.sampler, "beta_conditional_params",
+                        lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="^m has 3 entries, but the data have k = 2"):
+        run_mwg(make_data(k=2), PriorSpec.diffuse(3), MhConfig(n_iter=10, burn_in=2))
+    assert draws == []

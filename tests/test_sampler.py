@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,14 +22,18 @@ from fslm import (
     weights_from_edges,
 )
 from fslm.model import (
+    _gram_form,
     beta_conditional_params,
     beta_factor,
     bic,
     rho_information,
+    rss_at,
+    rss_quadratic,
     sigma2_conditional_params,
     sigma2_hat,
 )
 from fslm.sampler import STEP_SCALE, TARGET_ACCEPTANCE, default_init
+from fslm.spatial import SpatialWeights, log_det_A
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +66,17 @@ def test_propose_rho_uniform_support():
     assert draws.min() >= 0.25 and draws.max() <= 0.75
 
 
+def quadratic_at(beta, data):
+    """rss_quadratic's coefficients at beta, whose coordinates solve U s = beta."""
+    factor = beta_factor(data, PriorSpec.diffuse(data.k))
+    return rss_quadratic(np.linalg.solve(factor.u, beta), factor, data)
+
+
 def log_accept(rho_new, rho_old, beta, sigma2, data):
     """The Metropolis step's log acceptance probability in run_mwg."""
-    new = rho_log_conditional(rho_new, beta, sigma2, data)
-    old = rho_log_conditional(rho_old, beta, sigma2, data)
+    quadratic = quadratic_at(beta, data)
+    new = rho_log_conditional(rho_new, quadratic, sigma2, data)
+    old = rho_log_conditional(rho_old, quadratic, sigma2, data)
     return min(new - old, 0.0)
 
 
@@ -84,14 +96,15 @@ def test_acceptance_outside_support(small_problem):
 def test_acceptance_matches_normalized_density_ratio(small_problem):
     data, _ = small_problem
     beta, sigma2 = np.array([1.0, -0.5]), 0.5
+    quadratic = quadratic_at(beta, data)
     grid = np.linspace(0, 1, 20_001)
-    logs = np.array([rho_log_conditional(r, beta, sigma2, data) for r in grid])
+    logs = np.array([rho_log_conditional(r, quadratic, sigma2, data) for r in grid])
     dens = np.exp(logs - logs.max())
     dens /= trapezoid(dens, grid)
 
     def norm_dens(r):
         return np.exp(
-            rho_log_conditional(r, beta, sigma2, data) - logs.max()
+            rho_log_conditional(r, quadratic, sigma2, data) - logs.max()
         ) / trapezoid(np.exp(logs - logs.max()), grid)
 
     for r_new, r_old in [(0.6, 0.3), (0.1, 0.8)]:
@@ -208,32 +221,34 @@ def chain_with_two_log_dets_per_iteration(data, prior, config):
     log-det included, recomputed after every beta and sigma2 draw."""
     rng = np.random.default_rng(config.seed)
     theta = default_init(data)
-    draws_beta = np.empty((config.n_iter, data.k))
+    draws_s = np.empty((config.n_iter, data.k))
     draws_sigma2 = np.empty(config.n_iter)
     draws_rho = np.empty(config.n_iter)
     accepted = np.zeros(config.n_iter, dtype=bool)
     tuning_trace = []
-    beta, sigma2, rho = theta.beta, theta.sigma2, theta.rho
+    sigma2, rho = theta.sigma2, theta.rho
     info = rho_information(sigma2, rho, data)
     c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
     block = min(100, max(1, config.burn_in // 10))
     factor = beta_factor(data, prior)
     for j in range(config.n_iter):
-        mean, root = beta_conditional_params(sigma2, rho, factor)
-        beta = mean + root @ rng.standard_normal(data.k)
-        shape, scale = sigma2_conditional_params(beta, rho, data, prior)
+        mean, sd = beta_conditional_params(sigma2, rho, factor)
+        s = mean + sd * rng.standard_normal(data.k)
+        quadratic = rss_quadratic(s, factor, data)
+        shape, scale = sigma2_conditional_params(rss_at(quadratic, rho), data, prior)
         sigma2 = scale / rng.gamma(shape)
-        log_cond_old = rho_log_conditional(rho, beta, sigma2, data)
+        log_cond_old = rho_log_conditional(rho, quadratic, sigma2, data)
         rho_new = propose_rho(rho, c, config.kernel, rng)
-        log_cond_new = rho_log_conditional(rho_new, beta, sigma2, data)
-        accept = np.log(rng.uniform()) < min(log_cond_new - log_cond_old, 0.0)
+        log_cond_new = rho_log_conditional(rho_new, quadratic, sigma2, data)
+        accept = np.log(rng.random()) < min(log_cond_new - log_cond_old, 0.0)
         if accept:
             rho = rho_new
-        draws_beta[j], draws_sigma2[j], draws_rho[j], accepted[j] = beta, sigma2, rho, accept
+        draws_s[j], draws_sigma2[j], draws_rho[j], accepted[j] = s, sigma2, rho, accept
         if j < config.burn_in and (j + 1) % block == 0:
             c *= np.exp(accepted[j + 1 - block:j + 1].mean() - TARGET_ACCEPTANCE)
             tuning_trace.append(c)
-    return draws_beta, draws_sigma2, draws_rho, accepted, np.asarray(tuning_trace)
+    return (draws_s @ factor.u.T, draws_sigma2, draws_rho, accepted,
+            np.asarray(tuning_trace))
 
 
 @pytest.mark.parametrize("kernel", ["normal", "uniform"])
@@ -249,7 +264,112 @@ def test_kept_log_det_gives_the_two_log_det_chain(kernel):
         assert np.array_equal(got, want)
 
 
-def test_log_det_computed_once_per_iteration_and_accepted_move(small_problem, monkeypatch):
+def gram_form_chain(data, prior, config):
+    """Reference: the iteration as written on the Gram matrix G before beta
+    was drawn in its factor's coordinates.  beta = mean + R xi in beta's own
+    coordinates, r'r = v'Gv with v = (1, -rho, -beta) in the sigma2 step and
+    again at the proposal, a log-det recomputed after each accepted move and
+    the uniform draw by rng.uniform().  Also returns the number of proposals
+    off W's domain."""
+    rng = np.random.default_rng(config.seed)
+    theta = default_init(data)
+    draws_beta = np.empty((config.n_iter, data.k))
+    draws_sigma2 = np.empty(config.n_iter)
+    draws_rho = np.empty(config.n_iter)
+    accepted = np.zeros(config.n_iter, dtype=bool)
+    tuning_trace = []
+    sigma2, rho = theta.sigma2, theta.rho
+    info = rho_information(sigma2, rho, data)
+    c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
+    block = min(100, max(1, config.burn_in // 10))
+    log_det = log_det_A(data.w, rho)
+    u, mu, ub = beta_factor(data, prior)
+    off_domain = 0
+    for j in range(config.n_iter):
+        d = 1.0 / (mu + sigma2)
+        mean, root = u @ (d * (ub @ (1.0, -rho, sigma2))), u * np.sqrt(sigma2 * d)
+        beta = mean + root @ rng.standard_normal(data.k)
+        shape = data.n / 2 + prior.a
+        scale = (_gram_form(beta, rho, data)[1] + 2 * prior.b) / 2
+        sigma2 = scale / rng.gamma(shape)
+        log_cond_old = log_det - (scale - prior.b) / sigma2
+        rho_new = propose_rho(rho, c, config.kernel, rng)
+        log_cond_new = -np.inf
+        if 0.0 <= rho_new < data.w.rho_max:
+            try:
+                log_cond_new = (log_det_A(data.w, rho_new)
+                                - 0.5 * _gram_form(beta, rho_new, data)[1] / sigma2)
+            except np.linalg.LinAlgError:
+                pass
+        else:
+            off_domain += 1
+        accept = np.log(rng.uniform()) < min(log_cond_new - log_cond_old, 0.0)
+        if accept:
+            rho = rho_new
+            log_det = log_det_A(data.w, rho)
+        draws_beta[j], draws_sigma2[j], draws_rho[j], accepted[j] = beta, sigma2, rho, accept
+        if j < config.burn_in and (j + 1) % block == 0:
+            c *= np.exp(accepted[j + 1 - block:j + 1].mean() - TARGET_ACCEPTANCE)
+            tuning_trace.append(c)
+    return (draws_beta, draws_sigma2, draws_rho, accepted, np.asarray(tuning_trace),
+            off_domain)
+
+
+def directed_nearest_neighbours(n_points: int, k: int, seed: int) -> SpatialWeights:
+    """Row-standardized W linking each of n random points to its k nearest
+    others; the links are not symmetric, so W has complex eigenvalues."""
+    xy = np.random.default_rng(seed).random((n_points, 2))
+    dist = np.linalg.norm(xy[:, None] - xy[None, :], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    entries = np.zeros((n_points, n_points))
+    np.put_along_axis(entries, np.argsort(dist, axis=1)[:, :k], 1.0, axis=1)
+    return row_standardize(SpatialWeights(n=n_points, entries=entries))
+
+
+@pytest.mark.parametrize("kernel", ["normal", "uniform"])
+@pytest.mark.parametrize("case", ["directed_4nn", "rook_rho_095"])
+def test_run_mwg_matches_the_gram_form_chain(case, kernel):
+    if case == "directed_4nn":
+        w = directed_nearest_neighbours(45, 4, seed=2)
+        assert np.iscomplexobj(w.eigenvalues)
+        data = make_dataset(SimulationSpec(rho_true=0.5, seed=5), w).data
+    else:
+        data = make_dataset(SimulationSpec(rho_true=0.95, seed=3),
+                            row_standardize(grid_contiguity(11, 11))).data
+    prior = PriorSpec.diffuse(data.k)
+    cfg = MhConfig(n_iter=1500, burn_in=500, kernel=kernel, seed=11)
+    chain = run_mwg(data, prior, cfg)
+    *reference, off_domain = gram_form_chain(data, prior, cfg)
+    beta, sigma2, rho, accepted, tuning_trace = reference
+    assert 0 < accepted.sum() < cfg.n_iter
+    if case == "rook_rho_095":
+        assert off_domain > 0  # proposals at or above rho_max were refused
+    assert np.array_equal(chain.accepted, accepted)
+    assert np.array_equal(chain.tuning_trace, tuning_trace)
+    assert np.array_equal(chain.draws_rho, rho)
+    # beta and sigma2 move only by rounding, measured in posterior sds
+    kept = slice(cfg.burn_in, None)
+    assert np.all(np.abs(chain.draws_beta - beta).max(axis=0)
+                  <= 1e-10 * beta[kept].std(axis=0))
+    assert np.abs(chain.draws_sigma2 - sigma2).max() <= 1e-10 * sigma2[kept].std()
+
+
+def test_each_iteration_calls_each_conditional_once(small_problem, monkeypatch):
+    import fslm.sampler
+
+    names = ("beta_conditional_params", "sigma2_conditional_params", "rho_log_conditional")
+    calls = Counter()
+    for name in names:
+        real = getattr(fslm.sampler, name)
+        monkeypatch.setattr(fslm.sampler, name,
+                            lambda *args, _real=real, _name=name:
+                            calls.update([_name]) or _real(*args))
+    cfg = MhConfig(n_iter=700, burn_in=200, seed=2)
+    run_mwg(*small_problem, cfg)
+    assert calls == dict.fromkeys(names, cfg.n_iter)
+
+
+def test_log_det_computed_once_per_chain_and_proposal(small_problem, monkeypatch):
     import fslm.model
     import fslm.sampler
 
@@ -261,7 +381,7 @@ def test_log_det_computed_once_per_iteration_and_accepted_move(small_problem, mo
     cfg = MhConfig(n_iter=1000, burn_in=300, seed=8)
     chain = run_mwg(*small_problem, cfg)
     assert 0 < chain.accepted.sum() < cfg.n_iter
-    assert len(calls) <= 1 + cfg.n_iter + chain.accepted.sum()
+    assert len(calls) <= 1 + cfg.n_iter
 
 
 def test_iteration_makes_no_linalg_call(monkeypatch):
