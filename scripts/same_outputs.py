@@ -8,8 +8,9 @@ The two trees are the working tree this script sits in and <rev>, which
 same commands through its own `fslm.cli.main`, one interpreter per
 command, with OPENBLAS_NUM_THREADS=1:
 
-  simulate   an 11x11 lattice, a 22x22 lattice and two --edges graphs,
-             one bipartite and one with odd cycles
+  simulate   an 11x11 lattice, a 22x22 lattice, two --edges graphs,
+             one bipartite and one with odd cycles, and a 7x7 lattice
+             from a --config file, with one of its values overridden
   fit        --method all on the 11x11 and --edges bundles, ML on 22x22
   table1     three rho values x two replicates
   moran      on the 11x11 bundle (dense scorer) and the 22x22 (pair scorer)
@@ -28,6 +29,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -44,6 +46,7 @@ COMMANDS = [
     ["simulate", "--edges", "../edges.csv", "--rho", "0.3", "--seed", "3", "--out", "sim-edges"],
     ["simulate", "--edges", "../edges-odd.csv", "--rho", "0.3", "--seed", "7",
      "--out", "sim-odd"],
+    ["--config", "../config.json", "simulate", "--seed", "10"],
     ["fit", "--data", "sim11", "--method", "all", *CHAIN, "--out", "fit11"],
     ["fit", "--data", "sim-edges", "--method", "all", *CHAIN, "--seed", "4",
      "--out", "fit-edges"],
@@ -67,6 +70,9 @@ def ring_with_chords(chord: int) -> str:
 
 # odd chords keep the ring bipartite; even chords close 7-cycles
 EDGE_FILES = {"edges.csv": ring_with_chords(7), "edges-odd.csv": ring_with_chords(6)}
+# a number, a string and the required --out; the command line's --seed wins
+CONFIG_FILES = {"config.json": json.dumps({"grid": "7x7", "rho": 0.4, "seed": 9,
+                                           "out": "sim-config"})}
 
 CLI = "import sys; from fslm.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -123,7 +129,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "base").mkdir()
-        for name, text in EDGE_FILES.items():
+        for name, text in {**EDGE_FILES, **CONFIG_FILES}.items():
             (tmp / name).write_text(text, newline="")
         extract(args.against, tmp / "base")
         failed = [f"{args.against}: {f}" for f in run_commands(tmp / "base", tmp / "out-base")]

@@ -1,13 +1,15 @@
 """Command-line interface: simulate, fit, table1, moran.
 
 Flag precedence is flags > JSON config file (--config) > built-in
-defaults.  Exit codes: 0 success, 2 validation error, 3 numerical
+defaults: the file's values are read as flags placed before the command
+line's own.  Exit codes: 0 success, 2 validation error, 3 numerical
 failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -81,62 +83,61 @@ def _parse_rho_list(text: str) -> list[float]:
     return vals
 
 
-class _Commands(argparse._SubParsersAction):
-    """Subcommands whose defaults a --config file sets before they parse
-    their flags, so that the file can stand in for any flag."""
+# each command's flags by dest: basis_count is --basis-count
+FLAGS = {
+    "simulate": {
+        "rho": dict(type=float, default=0.5),
+        "sigma2": dict(type=float, default=1.0),
+        "seed": dict(type=_nonnegative_int, default=0),
+        "grid": dict(type=_parse_grid, help="lattice ROWSxCOLS, 11x11 if no --edges"),
+        "edges": dict(type=Path, help="edge-list CSV instead of a lattice"),
+        "n_units": dict(type=_nonnegative_int, help="unit count when using --edges"),
+        "basis_count": dict(type=_basis_count, default=7),
+        "noise_sd": dict(type=float, default=1.0),
+        "out": dict(type=Path, required=True),
+    },
+    "fit": {
+        "data": dict(type=Path, required=True, help="bundle directory"),
+        "method": dict(choices=METHODS + ["all"], default="normal-kernel"),
+        "seed": dict(type=_nonnegative_int, default=0),
+        "n_iter": dict(type=int, default=20_000),
+        "burn_in": dict(type=int, default=5_000),
+        "basis_count": dict(type=_basis_count, default=7),
+        "svg": dict(action="store_true", help="emit SVG trace plots"),
+        "out": dict(type=Path, required=True),
+    },
+    "table1": {
+        "rho_list": dict(type=_parse_rho_list, required=True),
+        "replicates": dict(type=int, default=1),
+        "seed": dict(type=_nonnegative_int, default=0),
+        "grid": dict(type=_parse_grid, default=PAPER_GRID),
+        "basis_count": dict(type=_basis_count, default=7),
+        "n_iter": dict(type=int, default=5_000),
+        "burn_in": dict(type=int, default=1_500),
+        "out": dict(type=Path, required=True),
+    },
+    "moran": {
+        "response": dict(type=Path, required=True),
+        "weights": dict(type=Path, required=True),
+        "permutations": dict(type=_nonnegative_int, default=999),
+        "seed": dict(type=_nonnegative_int, default=0),
+    },
+}
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        if namespace.config is not None:
-            _apply_config(self.choices[values[0]], values[0], namespace.config)
-        super().__call__(parser, namespace, values, option_string)
 
-
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """fslm's parser of --config and the command's name, and each command's
+    parser of its flags.  Built once per process; nothing changes them."""
     parser = argparse.ArgumentParser(prog="fslm")
-    parser.add_argument("--config", type=Path, help="JSON file with flag defaults")
-    sub = parser.add_subparsers(dest="command", required=True, action=_Commands)
-
-    sim = sub.add_parser("simulate", help="generate a synthetic data bundle")
-    sim.add_argument("--rho", type=float, default=0.5)
-    sim.add_argument("--sigma2", type=float, default=1.0)
-    sim.add_argument("--seed", type=_nonnegative_int, default=0)
-    sim.add_argument("--grid", type=_parse_grid, help="lattice ROWSxCOLS, 11x11 if no --edges")
-    sim.add_argument("--edges", type=Path, help="edge-list CSV instead of a lattice")
-    sim.add_argument("--n-units", type=_nonnegative_int, help="unit count when using --edges")
-    sim.add_argument("--basis-count", type=_basis_count, default=7)
-    sim.add_argument("--noise-sd", type=float, default=1.0)
-    sim.add_argument("--out", type=Path, required=True)
-
-    fit = sub.add_parser("fit", help="fit estimators to a simulated bundle")
-    fit.add_argument("--data", type=Path, required=True, help="bundle directory")
-    fit.add_argument(
-        "--method",
-        choices=METHODS + ["all"],
-        default="normal-kernel",
-    )
-    fit.add_argument("--seed", type=_nonnegative_int, default=0)
-    fit.add_argument("--n-iter", type=int, default=20_000)
-    fit.add_argument("--burn-in", type=int, default=5_000)
-    fit.add_argument("--basis-count", type=_basis_count, default=7)
-    fit.add_argument("--svg", action="store_true", help="emit SVG trace plots")
-    fit.add_argument("--out", type=Path, required=True)
-
-    tab = sub.add_parser("table1", help="simulate and compare all methods per rho")
-    tab.add_argument("--rho-list", type=_parse_rho_list, required=True)
-    tab.add_argument("--replicates", type=int, default=1)
-    tab.add_argument("--seed", type=_nonnegative_int, default=0)
-    tab.add_argument("--grid", type=_parse_grid, default=PAPER_GRID)
-    tab.add_argument("--basis-count", type=_basis_count, default=7)
-    tab.add_argument("--n-iter", type=int, default=5_000)
-    tab.add_argument("--burn-in", type=int, default=1_500)
-    tab.add_argument("--out", type=Path, required=True)
-
-    mor = sub.add_parser("moran", help="Moran's I permutation test")
-    mor.add_argument("--response", type=Path, required=True)
-    mor.add_argument("--weights", type=Path, required=True)
-    mor.add_argument("--permutations", type=_nonnegative_int, default=999)
-    mor.add_argument("--seed", type=_nonnegative_int, default=0)
-    return parser
+    parser.add_argument("--config", type=Path, help="JSON file of the command's flag values")
+    parser.add_argument("command", choices=FLAGS, help="fslm COMMAND -h lists its flags")
+    parser.add_argument("flags", nargs=argparse.REMAINDER, help="the command's flags")
+    commands = {name: argparse.ArgumentParser(prog=f"fslm {name}") for name in FLAGS}
+    for name, flags in FLAGS.items():
+        for dest, options in flags.items():
+            commands[name].add_argument("--" + dest.replace("_", "-"), **options)
+    return parser, commands
 
 
 def _check_unit_count(n: int, basis_count: int) -> None:
@@ -156,9 +157,9 @@ def cmd_simulate(args) -> int:
     )
     if args.edges is not None:
         edges = fio.read_edges_csv(args.edges)
-        if args.n_units is None and not edges:
+        if args.n_units is None and edges.size == 0:
             raise ValueError(f"{args.edges} holds no edges; give the unit count by --n-units")
-        n = 1 + max(max(e) for e in edges) if args.n_units is None else args.n_units
+        n = 1 + int(edges.max()) if args.n_units is None else args.n_units
         w = weights_from_edges(n, edges)
     else:
         w = grid_contiguity(*(args.grid or PAPER_GRID))
@@ -307,52 +308,49 @@ COMMANDS = {
 }
 
 
-def _apply_config(sub, command, path) -> None:
-    """Make the config file's values the subcommand's defaults, so flags
-    still win over them, and stop requiring the flags the file supplies."""
-    defaults = json.loads(Path(path).read_text())
-    if not isinstance(defaults, dict):
+def _config_flags(command: str, path: Path) -> list[str]:
+    """The config file's values as the command's flags (--seed=21, --svg),
+    for argparse to convert and check.  Refuses only what JSON alone shows:
+    an unknown key, a wrong JSON type and a value outside a flag's choices."""
+    values = json.loads(path.read_text())
+    if not isinstance(values, dict):
         raise ValueError(f"{path} must hold a JSON object")
-    actions = {a.dest: a for a in sub._actions}
-    unknown = sorted(set(defaults) - set(actions))
+    flags = FLAGS[command]
+    unknown = sorted(set(values) - set(flags))
     if unknown:
         raise ValueError(f"unknown {command} option(s) in {path}: {', '.join(unknown)}")
-    for key, value in defaults.items():
-        defaults[key] = _config_value(actions[key], value, f"{path}: {key}")
-        actions[key].required = False
-    sub.set_defaults(**defaults)
-
-
-def _config_value(action, value, where):
-    """Check a config value's JSON type against its flag: a boolean for a
-    switch, else a string (argparse converts string defaults with type=)
-    or, for an int or float flag, a number; bool subclasses int."""
-    numeric = {int: (int,), _nonnegative_int: (int,), _basis_count: (int,),
-               float: (int, float)}.get(action.type, ())
-    allowed = (bool,) if action.nargs == 0 else (str,) + numeric
-    if isinstance(value, bool) != (allowed == (bool,)) or not isinstance(value, allowed):
-        names = " or ".join(JSON_TYPES[t] for t in allowed)
-        raise ValueError(f"{where} must be a JSON {names}, not {json.dumps(value)}")
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"{where} must be one of {', '.join(action.choices)}")
-    if not numeric or isinstance(value, str):
-        return value
-    try:
-        return action.type(value)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{where} {exc}") from None
+    argv = []
+    for key, value in values.items():
+        flag, options = "--" + key.replace("_", "-"), flags[key]
+        switch = options.get("action") == "store_true"
+        # a boolean for a switch, else a string or, for an int or float
+        # flag, a number; bool subclasses int
+        numeric = {int: (int,), _nonnegative_int: (int,), _basis_count: (int,),
+                   float: (int, float)}.get(options.get("type"), ())
+        allowed = (bool,) if switch else (str,) + numeric
+        if isinstance(value, bool) != switch or not isinstance(value, allowed):
+            names = " or ".join(JSON_TYPES[t] for t in allowed)
+            raise ValueError(f"{path}: {key} must be a JSON {names}, not {json.dumps(value)}")
+        if "choices" in options and value not in options["choices"]:
+            raise ValueError(f"{path}: {key} must be one of {', '.join(options['choices'])}")
+        if value is not False:
+            argv.append(flag if switch else f"{flag}={value}")
+    return argv
 
 
 def main(argv=None) -> int:
+    parser, commands = build_parser()
     try:
-        # a --config file's errors surface while the arguments are parsed
-        args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
+        top = parser.parse_args(argv)
+        # the file's flags come first, so the command line's win
+        config = [] if top.config is None else _config_flags(top.command, top.config)
+        args = commands[top.command].parse_args(config + top.flags)
+        return COMMANDS[top.command](args)
     # LinAlgError subclasses ValueError, so it must be caught first
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

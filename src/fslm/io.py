@@ -150,13 +150,13 @@ def read_weights_csv(path, n: int) -> SpatialWeights:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def read_edges_csv(path) -> list[tuple[int, int]]:
-    """Two zero-based integer columns `i,j`, under an optional `i,j` header."""
+def read_edges_csv(path) -> np.ndarray:
+    """(m, 2) integers from two zero-based columns `i,j` under an optional `i,j` header."""
     rows = _read_table(path, ["i", "j"], optional_header=True)[1]
     edges = rows.astype(int)
     if np.any(edges != rows):
         raise ValueError(f"{path}: edges must be pairs of integers")
-    return [(int(i), int(j)) for i, j in edges]
+    return edges
 
 
 def write_truth_json(path, dataset) -> None:

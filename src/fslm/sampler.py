@@ -3,12 +3,12 @@
 Per iteration: draw beta from its normal conditional, sigma2 from its
 inverse-gamma conditional, then update rho by a symmetric random-walk
 Metropolis step (normal or uniform kernel) of scale c.  The chain starts
-at rho = W.rho_max / 2, beta and sigma2 at their ML values there, and
-c = STEP_SCALE / sqrt(I), I the curvature of rho's log full conditional
-there.  Each burn-in block of min(100, burn_in // 10) iterations (at
-least one) multiplies c by exp(block acceptance rate - TARGET_ACCEPTANCE)
-(Andrieu & Thoms 2008); then c is frozen.  Proposals off W's domain
-[0, W.rho_max) have zero density and are never accepted.
+at rho = W.rho_max / 2 with sigma2 at its ML value there (beta is drawn
+first) and c = STEP_SCALE / sqrt(I), I the curvature of rho's log full
+conditional there.  Each burn-in block of min(100, burn_in // 10)
+iterations (at least one) multiplies c by exp(block acceptance rate -
+TARGET_ACCEPTANCE) (Andrieu & Thoms 2008); then c is frozen.  Proposals
+off W's domain [0, W.rho_max) have zero density and are never accepted.
 
 beta's conditional is factored once per chain (model.beta_factor), and
 beta is drawn in the factor's coordinates s, beta = U s: independent
@@ -99,17 +99,16 @@ def propose_rho(rho_old: float, c: float, kernel: str, rng: np.random.Generator)
     raise ValueError("kernel must be 'normal' or 'uniform'")
 
 
-def default_init(data: FslmData) -> Theta:
-    """rho = W.rho_max / 2, with beta and sigma2 at their ML values there."""
+def default_init(data: FslmData) -> tuple[float, float]:
+    """The chain's start (rho, sigma2): W.rho_max / 2 and sigma2's ML value there."""
     rho = 0.5 * data.w.rho_max
-    return Theta(beta=data.ols_pair[0] @ (1.0, -rho),
-                 sigma2=max(sigma2_hat(rho, data), 1e-12), rho=rho)
+    return rho, max(sigma2_hat(rho, data), 1e-12)
 
 
 def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     """Run the Metropolis-within-Gibbs chain; fully determined by the seed."""
     rng = np.random.default_rng(config.seed)
-    theta = default_init(data)
+    rho, sigma2 = default_init(data)
 
     k = data.k
     draws_s = np.empty((config.n_iter, k))  # beta's coordinates, beta = U s
@@ -118,7 +117,6 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     accepted = np.zeros(config.n_iter, dtype=bool)
     tuning_trace = []
 
-    sigma2, rho = theta.sigma2, theta.rho
     # W = 0 gives I = 0, and complex eigenvalue pairs can make I negative
     info = rho_information(sigma2, rho, data)
     c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max

@@ -185,15 +185,22 @@ class MoranResult:
 
 
 def weights_from_edges(n: int, edges) -> SpatialWeights:
-    """Binary symmetric contiguity matrix from an undirected edge list."""
+    """Binary symmetric contiguity matrix from an undirected edge list, an
+    (m, 2) integer array or a sequence of integer pairs."""
+    pairs = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=int)
+    # numpy reads True beside an integer as 1, so a sequence is searched for it
+    if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
+            or pairs is not edges
+            and any(isinstance(v, (bool, np.bool_)) for pair in edges for v in pair)):
+        raise ValueError("edges must be pairs of integers")
+    i, j = pairs.T
+    bad = np.flatnonzero((i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n))
+    if bad.size:  # the first such edge
+        i, j = pairs[bad[0]]
+        raise ValueError(f"self-loop at unit {i}" if i == j
+                         else f"edge ({i},{j}) out of range for n={n}")
     w = np.zeros((n, n))
-    for i, j in edges:
-        if i == j:
-            raise ValueError(f"self-loop at unit {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        w[i, j] = 1.0
-        w[j, i] = 1.0
+    w[i, j] = w[j, i] = 1.0
     return SpatialWeights(n=n, entries=w, row_standardized=False)
 
 
@@ -201,15 +208,10 @@ def grid_contiguity(rows: int, cols: int) -> SpatialWeights:
     """Binary rook (4-neighborhood) contiguity of a rows x cols lattice."""
     if rows < 1 or cols < 1:
         raise ValueError("lattice dimensions must be positive")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if r + 1 < rows:
-                edges.append((i, i + cols))
-            if c + 1 < cols:
-                edges.append((i, i + 1))
-    return weights_from_edges(rows * cols, edges)
+    unit = np.arange(rows * cols).reshape(rows, cols)
+    down = np.column_stack([unit[:-1].ravel(), unit[1:].ravel()])
+    right = np.column_stack([unit[:, :-1].ravel(), unit[:, 1:].ravel()])
+    return weights_from_edges(rows * cols, np.concatenate([down, right]))
 
 
 def row_standardize(w: SpatialWeights) -> SpatialWeights:
@@ -310,7 +312,8 @@ def morans_i(
             quad = products @ weight
         else:
             quad = np.einsum("ij,ij->i", zp @ w.entries, zp)
-        stats = (n / s0) * quad / np.einsum("ij,ij->i", zp, zp)
+        # a permutation leaves z'z unchanged
+        stats = (n / s0) * quad / denom
         hits += np.count_nonzero(
             np.abs(stats - expected) >= abs(observed - expected) - 1e-15)
     p = (hits + 1) / (n_permutations + 1)

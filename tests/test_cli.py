@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fslm
-from fslm.cli import main
+from fslm.cli import build_parser, main
 from fslm import io as fio
 from fslm import grid_contiguity, row_standardize, weights_from_edges
 
@@ -281,6 +281,37 @@ def test_config_file_precedence(tmp_path):
     run(["--config", config, "simulate", "--rho", "0.2", "--out", out2])
     truth2 = json.loads((out2 / "truth.json").read_text())
     assert float(truth2["rho"]) == 0.2
+
+
+@pytest.mark.parametrize("command, values", [
+    (["simulate"], {"rho": 0.3, "seed": 4, "grid": "5x5", "noise_sd": 2}),
+    (["fit", "--method", "normal-kernel"], {"svg": True, "n_iter": 300, "burn_in": 100}),
+], ids=["simulate", "fit-switch"])
+def test_config_and_equivalent_flags_write_the_same_bytes(bundle, tmp_path, command, values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    flags = [f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
+             for key, value in values.items()]
+    if command[0] == "fit":
+        command = [*command, "--data", bundle]
+    assert run(["--config", config, *command, "--out", tmp_path / "config"]) == 0
+    assert run([*command, *flags, "--out", tmp_path / "flags"]) == 0
+    assert hash_dir(tmp_path / "config") == hash_dir(tmp_path / "flags")
+    if values.get("svg"):
+        assert (tmp_path / "config" / "trace_normal-kernel.svg").exists()
+
+
+def test_config_values_do_not_outlast_their_call(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "first"), "rho": 0.7}))
+    assert run(["--config", config, "simulate", "--grid", "4x4"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--grid", "4x4"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert run(["simulate", "--grid", "4x4", "--out", tmp_path / "second"]) == 0
+    assert float(json.loads((tmp_path / "second" / "truth.json").read_text())["rho"]) == 0.5
+    assert build_parser() is build_parser()  # one parser per process
 
 
 def test_edges_input_round_trip(tmp_path):

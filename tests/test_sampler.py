@@ -196,9 +196,9 @@ def test_trace_holds_only_burn_in_blocks(small_problem):
 def test_default_init_is_the_ml_profile_at_half_rho_max(small_problem):
     data, _ = small_problem
     rho = data.w.rho_max / 2
-    theta = default_init(data)
-    assert theta.rho == rho
-    assert theta.sigma2 == sigma2_hat(rho, data)
+    rho0, sigma2 = default_init(data)
+    assert rho0 == rho
+    assert sigma2 == sigma2_hat(rho, data)
 
 
 def test_unlinked_weights_start_the_step_at_rho_max(monkeypatch):
@@ -220,13 +220,12 @@ def chain_with_two_log_dets_per_iteration(data, prior, config):
     """Reference: run_mwg's iteration with the current rho's conditional,
     log-det included, recomputed after every beta and sigma2 draw."""
     rng = np.random.default_rng(config.seed)
-    theta = default_init(data)
+    rho, sigma2 = default_init(data)
     draws_s = np.empty((config.n_iter, data.k))
     draws_sigma2 = np.empty(config.n_iter)
     draws_rho = np.empty(config.n_iter)
     accepted = np.zeros(config.n_iter, dtype=bool)
     tuning_trace = []
-    sigma2, rho = theta.sigma2, theta.rho
     info = rho_information(sigma2, rho, data)
     c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
     block = min(100, max(1, config.burn_in // 10))
@@ -272,13 +271,12 @@ def gram_form_chain(data, prior, config):
     the uniform draw by rng.uniform().  Also returns the number of proposals
     off W's domain."""
     rng = np.random.default_rng(config.seed)
-    theta = default_init(data)
+    rho, sigma2 = default_init(data)
     draws_beta = np.empty((config.n_iter, data.k))
     draws_sigma2 = np.empty(config.n_iter)
     draws_rho = np.empty(config.n_iter)
     accepted = np.zeros(config.n_iter, dtype=bool)
     tuning_trace = []
-    sigma2, rho = theta.sigma2, theta.rho
     info = rho_information(sigma2, rho, data)
     c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
     block = min(100, max(1, config.burn_in // 10))

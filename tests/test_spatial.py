@@ -41,6 +41,46 @@ def test_edge_errors():
         weights_from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("edges", [[(0, 1.5)], [(0.0, 1.0)], [(0, 1, 2)], [(0, True)],
+                                   np.array([[0.0, 1.0]]), np.array([[False, True]])],
+                         ids=["float", "floats", "triple", "bool", "float-array", "bool-array"])
+def test_edges_that_are_not_integer_pairs_are_refused(edges):
+    with pytest.raises(ValueError, match="edges must be pairs of integers"):
+        weights_from_edges(3, edges)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2), (0, 5)], "self-loop at unit 2"),
+    ([(0, 1), (4, 0), (1, 1)], r"edge \(4,0\) out of range for n=3"),
+    ([(-1, 0)], r"edge \(-1,0\) out of range for n=3"),
+    ([(5, 5)], "self-loop at unit 5"),
+])
+def test_edge_errors_name_the_first_bad_edge(edges, message):
+    for given in (edges, np.array(edges)):
+        with pytest.raises(ValueError, match=message):
+            weights_from_edges(3, given)
+
+
+def test_edge_array_and_list_give_the_same_w():
+    edges = [(0, 1), (1, 2), (3, 1)]
+    want = [[0, 1, 0, 0], [1, 0, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]]
+    for given in (edges, np.array(edges)):
+        assert np.array_equal(weights_from_edges(4, given).entries, want)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 7), (7, 3), (11, 11)])
+def test_grid_matches_the_loop_built_lattice(rows, cols):
+    want = np.zeros((rows * cols, rows * cols))
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c
+            if r + 1 < rows:
+                want[i, i + cols] = want[i + cols, i] = 1.0
+            if c + 1 < cols:
+                want[i, i + 1] = want[i + 1, i] = 1.0
+    assert np.array_equal(grid_contiguity(rows, cols).entries, want)
+
+
 def test_grid_trivial_and_rook():
     assert np.all(grid_contiguity(1, 1).entries == 0)
     w = grid_contiguity(2, 2)
