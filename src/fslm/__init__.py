@@ -28,7 +28,7 @@ from .model import (
 from .sampler import (
     Chain,
     MhConfig,
-    propose_rho,
+    rho_steps,
     run_mwg,
     summarize,
 )

@@ -132,7 +132,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = argparse.ArgumentParser(prog="fslm")
     parser.add_argument("--config", type=Path, help="JSON file of the command's flag values")
     parser.add_argument("command", choices=FLAGS, help="fslm COMMAND -h lists its flags")
-    parser.add_argument("flags", nargs=argparse.REMAINDER, help="the command's flags")
+    # argparse makes a REMAINDER positional required, which would name it
+    # beside a missing command; an empty remainder is fine
+    parser.add_argument("flags", nargs=argparse.REMAINDER,
+                        help="the command's flags").required = False
     commands = {name: argparse.ArgumentParser(prog=f"fslm {name}") for name in FLAGS}
     for name, flags in FLAGS.items():
         for dest, options in flags.items():

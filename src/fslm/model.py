@@ -105,6 +105,13 @@ class FslmData:
         b = np.linalg.solve(g[2:, 2:], g[2:, :2])
         return read_only(b), read_only(self._x[:, :2] - self.z @ b)
 
+    @cached_property
+    def rss_terms(self) -> tuple[float, float, float]:
+        """G00 = y'y, G01 = y'Wy and G11 = (Wy)'Wy as Python floats, read by
+        rss_quadratic at every sampler iteration."""
+        g = self.gram
+        return float(g[0, 0]), float(g[0, 1]), float(g[1, 1])
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -226,16 +233,18 @@ def beta_conditional_params(
         raise ValueError("sigma2 must be positive")
     _, mu, ub = factor
     d = 1.0 / (mu + sigma2)
-    return d * (ub @ (1.0, -rho, sigma2)), np.sqrt(sigma2 * d)
+    # ub.dot gives the bits of ub @ (...) at about two thirds of its cost
+    return d * ub.dot((1.0, -rho, sigma2)), np.sqrt(sigma2 * d)
 
 
 def rss_quadratic(s: np.ndarray, factor: BetaFactor, data: FslmData) -> tuple[float, float, float]:
     """(a, b, c) with r'r = a - 2b rho + c rho^2 for r = (I - rho*W) y - Z beta
     and beta = U s: a = G00 - 2 s.U'Z'y + sum mu s^2, b = G01 - s.U'Z'Wy
     and c = G11, as U'Z'ZU = diag(mu)."""
-    g = data.gram
-    sy, swy, _ = (s @ factor.ub).tolist()
-    return g[0, 0] - 2.0 * sy + float(factor.mu @ (s * s)), g[0, 1] - swy, g[1, 1]
+    yy, ywy, wywy = data.rss_terms
+    # .dot gives the bits of @ here, at lower cost
+    sy, swy, _ = s.dot(factor.ub).tolist()
+    return yy - 2.0 * sy + float(factor.mu.dot(s * s)), ywy - swy, wywy
 
 
 def rss_at(quadratic: tuple[float, float, float], rho: float) -> float:

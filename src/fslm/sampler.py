@@ -20,6 +20,17 @@ r'r(rho)/(2 sigma2), evaluate it.  The current rho's ln|I - rho*W| is
 kept between iterations; an accepted proposal's is recovered from its
 log conditional.  An iteration therefore costs one log-determinant (none
 for a proposal off W's domain) and no matrix factorization.
+
+A chain draws all of its random numbers from its one generator before
+its loop, in this order: an n_iter x k block of standard normals xi
+(row j becomes beta's coordinates s = mean + sd * xi in place, so the
+block is the chain's draws of s), n_iter gamma variates for sigma2 (the
+shape n/2 + a of its conditional is fixed over the chain), n_iter steps
+psi of rho's kernel (rho_steps) and the logs of n_iter uniforms for the
+Metropolis test.  An iteration indexes them and makes no generator call.
+With one BLAS thread an iteration costs about 12 us at n = 121 and 484
+(21 us with a generator call per draw and the step scale c as a NumPy
+scalar, whose arithmetic is slower than a Python float's).
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from .spatial import log_det_A
 __all__ = [
     "MhConfig",
     "Chain",
-    "propose_rho",
+    "rho_steps",
     "default_init",
     "run_mwg",
     "summarize",
@@ -88,14 +99,13 @@ class Chain:
         return self.draws_rho.shape[0]
 
 
-def propose_rho(rho_old: float, c: float, kernel: str, rng: np.random.Generator) -> float:
-    """Symmetric random-walk proposal: rho_old + c*psi."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+def rho_steps(kernel: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    """size steps psi of the symmetric random-walk proposal rho + c*psi:
+    standard normal, or uniform on [-1, 1)."""
     if kernel == "normal":
-        return rho_old + c * rng.standard_normal()
+        return rng.standard_normal(size)
     if kernel == "uniform":
-        return rho_old + c * rng.uniform(-1.0, 1.0)
+        return rng.uniform(-1.0, 1.0, size)
     raise ValueError("kernel must be 'normal' or 'uniform'")
 
 
@@ -107,51 +117,59 @@ def default_init(data: FslmData) -> tuple[float, float]:
 
 def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     """Run the Metropolis-within-Gibbs chain; fully determined by the seed."""
+    n_iter, burn_in = config.n_iter, config.burn_in
+    factor = beta_factor(data, prior)
     rng = np.random.default_rng(config.seed)
-    rho, sigma2 = default_init(data)
+    # every random number of the chain, in the module docstring's order;
+    # row j of xi becomes beta's coordinates s = mean + sd * xi, beta = U s
+    draws_s = rng.standard_normal((n_iter, data.k))
+    gammas = rng.gamma(data.n / 2 + prior.a, size=n_iter).tolist()
+    steps = rho_steps(config.kernel, n_iter, rng).tolist()
+    log_uniforms = np.log(rng.random(n_iter)).tolist()
 
-    k = data.k
-    draws_s = np.empty((config.n_iter, k))  # beta's coordinates, beta = U s
-    draws_sigma2 = np.empty(config.n_iter)
-    draws_rho = np.empty(config.n_iter)
-    accepted = np.zeros(config.n_iter, dtype=bool)
+    rho, sigma2 = default_init(data)
+    draws_sigma2 = np.empty(n_iter)
+    draws_rho = np.empty(n_iter)
+    accepted = np.zeros(n_iter, dtype=bool)
     tuning_trace = []
 
     # W = 0 gives I = 0, and complex eigenvalue pairs can make I negative
     info = rho_information(sigma2, rho, data)
-    c = min(data.w.rho_max, STEP_SCALE / np.sqrt(info)) if info > 0 else data.w.rho_max
-    block = min(100, max(1, config.burn_in // 10))
+    c = float(min(data.w.rho_max, STEP_SCALE / np.sqrt(info))) if info > 0 else data.w.rho_max
+    block = min(100, max(1, burn_in // 10))
     log_det = log_det_A(data.w, rho)
-    factor = beta_factor(data, prior)
 
-    for j in range(config.n_iter):
+    for j in range(n_iter):
         mean, sd = beta_conditional_params(sigma2, rho, factor)
-        s = mean + sd * rng.standard_normal(k)
+        s = draws_s[j]
+        s *= sd
+        s += mean
         quadratic = rss_quadratic(s, factor, data)
         rss = rss_at(quadratic, rho)
 
-        shape, scale = sigma2_conditional_params(rss, data, prior)
-        sigma2 = scale / rng.gamma(shape)
+        _, scale = sigma2_conditional_params(rss, data, prior)
+        sigma2 = scale / gammas[j]
 
         # beta and sigma2 changed, but the current rho's log-det did not
         log_cond_old = log_det - 0.5 * rss / sigma2
 
-        rho_new = propose_rho(rho, c, config.kernel, rng)
+        rho_new = rho + c * steps[j]
         # -inf off W's domain, so such a proposal is never accepted
         log_cond_new = rho_log_conditional(rho_new, quadratic, sigma2, data)
-        accept = np.log(rng.random()) < min(log_cond_new - log_cond_old, 0.0)
+        # a log-uniform is below 0, so this is the test against min(ratio, 0)
+        accept = log_uniforms[j] < log_cond_new - log_cond_old
         if accept:
             rho = rho_new
             # the proposal's log-det, recovered from its log conditional
             log_det = log_cond_new + 0.5 * rss_at(quadratic, rho) / sigma2
 
-        draws_s[j] = s
         draws_sigma2[j] = sigma2
         draws_rho[j] = rho
         accepted[j] = accept
 
-        if j < config.burn_in and (j + 1) % block == 0:
-            c *= np.exp(accepted[j + 1 - block:j + 1].mean() - TARGET_ACCEPTANCE)
+        if j < burn_in and (j + 1) % block == 0:
+            # c (and so rho) stays a Python float, whose arithmetic is cheaper
+            c *= float(np.exp(accepted[j + 1 - block:j + 1].mean() - TARGET_ACCEPTANCE))
             tuning_trace.append(c)
 
     return Chain(
@@ -160,7 +178,7 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
         draws_rho=draws_rho,
         accepted=accepted,
         tuning_trace=np.asarray(tuning_trace),
-        burn_in=config.burn_in,
+        burn_in=burn_in,
     )
 
 

@@ -131,6 +131,13 @@ class SpatialWeights:
         return lam
 
     @cached_property
+    def eigenvalue_range(self) -> tuple[float, float]:
+        """Smallest and largest real part of W's eigenvalues.  W's trace
+        is 0, so they bracket 0, the value returned for n = 0."""
+        real = self.eigenvalues.real
+        return float(real.min(initial=0.0)), float(real.max(initial=0.0))
+
+    @cached_property
     def rho_max(self) -> float:
         """Upper end of rho's domain [0, rho_max): min(1, 1/lambda_max) over
         W's real eigenvalues, or 1 when none is positive.  A row-standardized
@@ -231,22 +238,32 @@ def log_det_A(w: SpatialWeights, rho):
     log-sum over the (rho, lambda) products; a scalar rho gives a float.
     Errors, naming the first such rho, if a det is zero or negative."""
     lam = w.eigenvalues
-    terms = 1.0 - np.multiply.outer(rho, lam)
-    if np.isrealobj(lam) and terms.min(initial=np.inf) > EIG_RTOL:
+    is_real = lam.dtype.kind == "f"
+    # 1 - rho*lambda rounds monotonically in lambda, so with real eigenvalues
+    # each rho's smallest factor is the one at W's smallest or largest
+    lo, hi = w.eigenvalue_range
+    if isinstance(rho, (int, float)):
+        terms = rho * lam  # the bits of np.multiply.outer(rho, lam)
+        smallest = min(1.0 - rho * lo, 1.0 - rho * hi)
+    else:
+        terms = np.multiply.outer(rho, lam)
+        smallest = (1.0 - np.multiply.outer(rho, (lo, hi))).min(initial=np.inf)
+    np.subtract(1.0, terms, out=terms)
+    if is_real and smallest > EIG_RTOL:
         # inside rho's domain, where log(terms) = log|terms|: one pass
         size = terms
     else:
         size = np.abs(terms)
         # a conjugate pair contributes |1 - rho*lambda|^2 > 0, so only the
         # real eigenvalues set the sign of det
-        real = terms if np.isrealobj(lam) else terms[..., lam.imag == 0].real
+        real = terms if is_real else terms[..., lam.imag == 0].real
         # inside rho's domain every factor is positive: check per rho only if not
         if (size <= EIG_RTOL).any() or (real < 0).any():
             bad = (size <= EIG_RTOL).any(axis=-1) | ((real < 0).sum(axis=-1) % 2 == 1)
             if bad.any():
                 raise np.linalg.LinAlgError(
                     f"det(I - rho*W) not positive at rho={np.ravel(rho)[np.argmax(bad)]}")
-    log_det = np.log(size).sum(axis=-1)
+    log_det = np.log(size, out=size).sum(axis=-1)
     return float(log_det) if log_det.ndim == 0 else log_det
 
 

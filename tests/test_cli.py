@@ -720,6 +720,14 @@ def test_required_flag_missing_from_flags_and_config_exits_2(tmp_path, capsys):
     assert "--response" in capsys.readouterr().err
 
 
+def test_no_command_exits_2_naming_only_the_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "fslm: error: the following arguments are required: command")
+
+
 def write_moran_inputs(path, response, weights):
     (path / "resp.csv").write_text("id,y\n" + response)
     (path / "w.csv").write_text("i,j,w\n" + weights)

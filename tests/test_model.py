@@ -346,6 +346,26 @@ def test_gibbs_conditionals_match_grid_posterior():
     )
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 9])
+def test_iteration_helpers_give_the_bits_of_their_matmul_forms(k):
+    # the sampler's per-iteration helpers use ndarray.dot and cached floats
+    data = make_data(n=12, k=k, seed=k)
+    rng = np.random.default_rng(k)
+    prior = PriorSpec(m=rng.standard_normal(k), sigma_beta=np.diag(rng.random(k) + 0.5))
+    factor = beta_factor(data, prior)
+    g = data.gram
+    for _ in range(200):
+        sigma2, rho = 10.0 ** rng.uniform(-3, 3), rng.random()
+        mean, sd = beta_conditional_params(sigma2, rho, factor)
+        d = 1.0 / (factor.mu + sigma2)
+        assert np.array_equal(mean, d * (factor.ub @ (1.0, -rho, sigma2)))
+        assert np.array_equal(sd, np.sqrt(sigma2 * d))
+        s = mean + sd * rng.standard_normal(k)
+        sy, swy, _ = s @ factor.ub
+        assert rss_quadratic(s, factor, data) == (
+            g[0, 0] - 2.0 * sy + factor.mu @ (s * s), g[0, 1] - swy, g[1, 1])
+
+
 def test_data_products_cached():
     data = make_data(n=8, k=3, seed=13)
     x = np.column_stack([data.y, data.w.entries @ data.y, data.z])
@@ -355,6 +375,9 @@ def test_data_products_cached():
     assert b == pytest.approx(ols, abs=1e-12)
     assert e == pytest.approx(x[:, :2] - data.z @ ols, abs=1e-12)
     assert data.gram is data.gram and data.ols_pair is data.ols_pair
+    g = data.gram
+    assert data.rss_terms == (g[0, 0], g[0, 1], g[1, 1])
+    assert all(type(t) is float for t in data.rss_terms)
     with pytest.raises(ValueError):
         data.y[0] = 1.0  # read-only, so the cached products cannot go stale
     with pytest.raises(ValueError):

@@ -14,8 +14,8 @@ from fslm import (
     SimulationSpec,
     grid_contiguity,
     make_dataset,
-    propose_rho,
     rho_log_conditional,
+    rho_steps,
     row_standardize,
     run_mwg,
     summarize,
@@ -46,24 +46,45 @@ def small_problem():
     return FslmData(y=y, z=z, w=w), PriorSpec.diffuse(2)
 
 
-def test_propose_rho_zero_scale_limit():
-    rng = np.random.default_rng(0)
-    assert propose_rho(0.5, 1e-300, "normal", rng) == pytest.approx(0.5)
-
-
-def test_propose_rho_normal_sd():
+def test_rho_steps_normal_sd():
     rng = np.random.default_rng(1)
     c = 0.37
-    draws = np.array([propose_rho(0.2, c, "normal", rng) for _ in range(100_000)])
+    draws = 0.2 + c * rho_steps("normal", 100_000, rng)  # proposals from rho = 0.2
     assert draws.std() == pytest.approx(c, rel=0.02)
     assert draws.mean() == pytest.approx(0.2, abs=0.01)
 
 
-def test_propose_rho_uniform_support():
+def test_rho_steps_uniform_support():
     rng = np.random.default_rng(2)
     c = 0.25
-    draws = np.array([propose_rho(0.5, c, "uniform", rng) for _ in range(10_000)])
+    draws = 0.5 + c * rho_steps("uniform", 10_000, rng)  # proposals from rho = 0.5
     assert draws.min() >= 0.25 and draws.max() <= 0.75
+
+
+def test_rho_steps_refuses_an_unknown_kernel():
+    with pytest.raises(ValueError, match="kernel"):
+        rho_steps("cauchy", 3, np.random.default_rng(0))
+
+
+def chain_random_numbers(data, prior, config):
+    """run_mwg's random numbers in its block order: beta's standard normals,
+    sigma2's gamma variates, rho's steps and the log-uniforms."""
+    rng = np.random.default_rng(config.seed)
+    xi = rng.standard_normal((config.n_iter, data.k))
+    gammas = rng.gamma(data.n / 2 + prior.a, size=config.n_iter)
+    steps = rho_steps(config.kernel, config.n_iter, rng)
+    return xi, gammas, steps, np.log(rng.random(config.n_iter))
+
+
+def proposals_of(monkeypatch):
+    """The rho proposals a chain run after this call evaluates, in order."""
+    import fslm.sampler
+
+    proposals = []
+    real = fslm.sampler.rho_log_conditional
+    monkeypatch.setattr(fslm.sampler, "rho_log_conditional",
+                        lambda rho, *args: proposals.append(rho) or real(rho, *args))
+    return proposals
 
 
 def quadratic_at(beta, data):
@@ -167,18 +188,16 @@ def test_rejected_moves_keep_rho(small_problem):
 
 
 def test_adaptation_freeze(small_problem, monkeypatch):
-    import fslm.sampler
-
-    steps = []
-    real = fslm.sampler.propose_rho
-    monkeypatch.setattr(fslm.sampler, "propose_rho",
-                        lambda rho, c, *args: steps.append(c) or real(rho, c, *args))
+    proposals = proposals_of(monkeypatch)
     data, prior = small_problem
     cfg = MhConfig(n_iter=3000, burn_in=1000, seed=5)
     chain = run_mwg(data, prior, cfg)
     assert len(chain.tuning_trace) == 10  # one entry per burn-in block
     # every post-burn-in proposal uses the last adapted step scale
-    assert np.all(np.array(steps[cfg.burn_in:]) == chain.tuning_trace[-1])
+    steps = chain_random_numbers(data, prior, cfg)[2]
+    kept = slice(cfg.burn_in, None)
+    assert np.array_equal(np.array(proposals)[kept],
+                          chain.draws_rho[cfg.burn_in - 1:-1] + chain.tuning_trace[-1] * steps[kept])
 
 
 def test_short_burn_in_adapts_ten_times(small_problem):
@@ -202,24 +221,21 @@ def test_default_init_is_the_ml_profile_at_half_rho_max(small_problem):
 
 
 def test_unlinked_weights_start_the_step_at_rho_max(monkeypatch):
-    import fslm.sampler
-
-    steps = []
-    real = fslm.sampler.propose_rho
-    monkeypatch.setattr(fslm.sampler, "propose_rho",
-                        lambda rho, c, *args: steps.append(c) or real(rho, c, *args))
+    proposals = proposals_of(monkeypatch)
     rng = np.random.default_rng(9)
     z = rng.standard_normal((20, 2))
     y = z @ np.array([1.0, -1.0]) + rng.standard_normal(20)
     data = FslmData(y=y, z=z, w=weights_from_edges(20, []))
-    run_mwg(data, PriorSpec.diffuse(2), MhConfig(n_iter=5, burn_in=1))
-    assert steps[0] == data.w.rho_max
+    prior, cfg = PriorSpec.diffuse(2), MhConfig(n_iter=5, burn_in=1)
+    run_mwg(data, prior, cfg)
+    steps = chain_random_numbers(data, prior, cfg)[2]
+    assert proposals[0] == default_init(data)[0] + data.w.rho_max * steps[0]
 
 
 def chain_with_two_log_dets_per_iteration(data, prior, config):
     """Reference: run_mwg's iteration with the current rho's conditional,
     log-det included, recomputed after every beta and sigma2 draw."""
-    rng = np.random.default_rng(config.seed)
+    xi, gammas, steps, log_uniforms = chain_random_numbers(data, prior, config)
     rho, sigma2 = default_init(data)
     draws_s = np.empty((config.n_iter, data.k))
     draws_sigma2 = np.empty(config.n_iter)
@@ -232,14 +248,14 @@ def chain_with_two_log_dets_per_iteration(data, prior, config):
     factor = beta_factor(data, prior)
     for j in range(config.n_iter):
         mean, sd = beta_conditional_params(sigma2, rho, factor)
-        s = mean + sd * rng.standard_normal(data.k)
+        s = mean + sd * xi[j]
         quadratic = rss_quadratic(s, factor, data)
         shape, scale = sigma2_conditional_params(rss_at(quadratic, rho), data, prior)
-        sigma2 = scale / rng.gamma(shape)
+        sigma2 = scale / gammas[j]
         log_cond_old = rho_log_conditional(rho, quadratic, sigma2, data)
-        rho_new = propose_rho(rho, c, config.kernel, rng)
+        rho_new = rho + c * steps[j]
         log_cond_new = rho_log_conditional(rho_new, quadratic, sigma2, data)
-        accept = np.log(rng.random()) < min(log_cond_new - log_cond_old, 0.0)
+        accept = log_uniforms[j] < min(log_cond_new - log_cond_old, 0.0)
         if accept:
             rho = rho_new
         draws_s[j], draws_sigma2[j], draws_rho[j], accepted[j] = s, sigma2, rho, accept
@@ -267,10 +283,9 @@ def gram_form_chain(data, prior, config):
     """Reference: the iteration as written on the Gram matrix G before beta
     was drawn in its factor's coordinates.  beta = mean + R xi in beta's own
     coordinates, r'r = v'Gv with v = (1, -rho, -beta) in the sigma2 step and
-    again at the proposal, a log-det recomputed after each accepted move and
-    the uniform draw by rng.uniform().  Also returns the number of proposals
-    off W's domain."""
-    rng = np.random.default_rng(config.seed)
+    again at the proposal and a log-det recomputed after each accepted move.
+    Also returns the number of proposals off W's domain."""
+    xi, gammas, steps, log_uniforms = chain_random_numbers(data, prior, config)
     rho, sigma2 = default_init(data)
     draws_beta = np.empty((config.n_iter, data.k))
     draws_sigma2 = np.empty(config.n_iter)
@@ -286,12 +301,11 @@ def gram_form_chain(data, prior, config):
     for j in range(config.n_iter):
         d = 1.0 / (mu + sigma2)
         mean, root = u @ (d * (ub @ (1.0, -rho, sigma2))), u * np.sqrt(sigma2 * d)
-        beta = mean + root @ rng.standard_normal(data.k)
-        shape = data.n / 2 + prior.a
+        beta = mean + root @ xi[j]
         scale = (_gram_form(beta, rho, data)[1] + 2 * prior.b) / 2
-        sigma2 = scale / rng.gamma(shape)
+        sigma2 = scale / gammas[j]
         log_cond_old = log_det - (scale - prior.b) / sigma2
-        rho_new = propose_rho(rho, c, config.kernel, rng)
+        rho_new = rho + c * steps[j]
         log_cond_new = -np.inf
         if 0.0 <= rho_new < data.w.rho_max:
             try:
@@ -301,7 +315,7 @@ def gram_form_chain(data, prior, config):
                 pass
         else:
             off_domain += 1
-        accept = np.log(rng.uniform()) < min(log_cond_new - log_cond_old, 0.0)
+        accept = log_uniforms[j] < min(log_cond_new - log_cond_old, 0.0)
         if accept:
             rho = rho_new
             log_det = log_det_A(data.w, rho)

@@ -14,7 +14,7 @@ from fslm import (
     weights_from_edges,
 )
 from fslm import spatial
-from fslm.spatial import MORAN_BLOCK_VALUES, MoranResult, SpatialWeights
+from fslm.spatial import EIG_RTOL, MORAN_BLOCK_VALUES, MoranResult, SpatialWeights
 
 
 def test_single_edge():
@@ -445,6 +445,42 @@ def test_log_det_of_an_array_is_the_scalar_loop(w):
     grid = np.linspace(0.0, w.rho_max * (1 - 1e-9), 200)
     looped = np.array([log_det_A(w, rho) for rho in grid])
     assert np.array_equal(log_det_A(w, grid), looped)
+
+
+def weighted_path_weights():
+    """Row-standardized inverse-distance weights on a path of 7 points: W is
+    similar to a symmetric matrix, but not by a degree scaling, so its real
+    eigenvalues come from eigvals, unsorted."""
+    x = np.array([0.0, 1.0, 3.0, 3.5, 6.0, 6.2, 9.0])
+    c = np.zeros((7, 7))
+    i = np.arange(6)
+    c[i, i + 1] = c[i + 1, i] = 1.0 / np.diff(x)
+    return row_standardize(SpatialWeights(n=7, entries=c))
+
+
+@pytest.mark.parametrize("w", [grid_contiguity(5, 5), weighted_path_weights()],
+                         ids=["binary-lattice", "weighted-path"])
+def test_log_det_reads_the_smallest_factor_at_the_extreme_eigenvalues(w):
+    # log_det_A checks only the factors at W's smallest and largest
+    # eigenvalue; the reference checks every factor 1 - rho*lambda
+    lam = w.eigenvalues
+    assert lam.dtype.kind == "f"
+    lo, hi = w.eigenvalue_range
+    assert (lo, hi) == (lam.min(), lam.max())
+    near_singular = np.outer([1.0 / lo, 1.0 / hi], 1.0 + np.array([-1e-9, -1e-13, 0.0, 1e-13, 1e-9]))
+    grid = np.concatenate([np.linspace(-2.0, 2.0, 101), near_singular.ravel()])
+    fine = []
+    for rho in grid.tolist():
+        terms = 1.0 - rho * lam
+        if (np.abs(terms) <= EIG_RTOL).any() or (terms < 0).sum() % 2:
+            for arg in (rho, np.array([rho])):
+                with pytest.raises(np.linalg.LinAlgError, match=f"at rho={rho}$"):
+                    log_det_A(w, arg)
+        else:
+            fine.append(rho)
+            assert log_det_A(w, rho) == np.log(np.abs(terms)).sum()
+    assert 0 < len(fine) < grid.size
+    assert np.array_equal(log_det_A(w, np.array(fine)), [log_det_A(w, rho) for rho in fine])
 
 
 def test_nearest_neighbour_weights_have_complex_eigenvalues():
