@@ -8,12 +8,16 @@ The two trees are the working tree this script sits in and <rev>, which
 same commands through its own `fslm.cli.main`, one interpreter per
 command, with OPENBLAS_NUM_THREADS=1:
 
-  simulate   an 11x11 lattice, a 22x22 lattice, two --edges graphs,
-             one bipartite and one with odd cycles, and a 7x7 lattice
-             from a --config file, with one of its values overridden
+  simulate   an 11x11 lattice, a 22x22 lattice, two --edges graphs
+             (rings of 120 units with chords), one bipartite and one with
+             odd cycles, and a 7x7 lattice from a --config file, with one
+             of its values overridden
   fit        --method all on the 11x11 and --edges bundles, ML on 22x22
   table1     three rho values x two replicates
-  moran      on the 11x11 bundle (dense scorer) and the 22x22 (pair scorer)
+  moran      on the 11x11 and 22x22 bundles (the diagonal scorer: W's two
+             diagonals, sliced) and on the two --edges bundles (the ring's
+             and the chords' diagonals sliced, the links that wrap around
+             the ring gathered)
 
 Every output file, and every command's exit code and standard output, is
 reported as identical, as close (same text around the numbers, which all
@@ -58,14 +62,20 @@ COMMANDS = [
      "--permutations", "999", "--seed", "5"],
     ["moran", "--response", "sim22/response.csv", "--weights", "sim22/weights.csv",
      "--permutations", "999", "--seed", "6"],
+    ["moran", "--response", "sim-edges/response.csv", "--weights", "sim-edges/weights.csv",
+     "--permutations", "999", "--seed", "11"],
+    ["moran", "--response", "sim-odd/response.csv", "--weights", "sim-odd/weights.csv",
+     "--permutations", "999", "--seed", "12"],
 ]
+
+RING_UNITS = 120
 
 
 def ring_with_chords(chord: int) -> str:
-    """Edge list of a ring of 40 units with chords to the unit `chord`
-    places on: not a lattice, and every unit has 4 neighbours."""
-    return "i,j\r\n" + "".join(f"{i},{(i + step) % 40}\r\n"
-                               for i in range(40) for step in (1, chord))
+    """Edge list of a ring of RING_UNITS units with chords to the unit
+    `chord` places on: not a lattice, and every unit has 4 neighbours."""
+    return "i,j\r\n" + "".join(f"{i},{(i + step) % RING_UNITS}\r\n"
+                               for i in range(RING_UNITS) for step in (1, chord))
 
 
 # odd chords keep the ring bipartite; even chords close 7-cycles

@@ -179,4 +179,4 @@ def write_chain_csv(path, chain: Chain) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

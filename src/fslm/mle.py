@@ -27,6 +27,9 @@ from .spatial import log_det_A
 
 __all__ = ["fit_ml", "concentrated_loglik"]
 
+NOT_POSITIVE_DEFINITE = ("the observed information at the estimate is not positive "
+                         "definite, so it gives no standard errors")
+
 # Points per rescan, ends included: each narrows the 0.01-wide bracket of
 # the 200-point scan 5-fold, so at most nine rescans take it below 1e-8.
 RESCAN_POINTS = 11
@@ -69,13 +72,16 @@ def fit_ml(data: FslmData) -> Estimate:
 
     beta_hat = data.ols_pair[0] @ (1.0, -rho_hat)
     theta = Theta(beta=beta_hat, sigma2=sigma2_hat(rho_hat, data), rho=rho_hat)
-    return Estimate(theta, *_observed_info_std(theta, data), bic(theta, data))
+    *std, unavailable = _observed_info_std(theta, data)
+    return Estimate(theta, *std, bic(theta, data), std_unavailable=unavailable)
 
 
 def _observed_info_std(theta: Theta, data: FslmData):
-    """Std errors from the inverse of the exact observed information of
-    the full log-likelihood in (rho, beta, sigma2).  With X_1 = [Wy, Z],
-    X_1'X_1 = G[1:, 1:] and X_1'r = (Gv)[1:]."""
+    """(std_beta, std_sigma2, std_rho, None): std errors from the inverse of
+    the exact observed information -H of the full log-likelihood in (rho,
+    beta, sigma2).  With X_1 = [Wy, Z], X_1'X_1 = G[1:, 1:] and X_1'r =
+    (Gv)[1:].  When -H is not positive definite (a Cholesky test), its
+    inverse is no covariance matrix: (None, None, None, the reason)."""
     k, n = data.k, data.n
     s2 = theta.sigma2
     gv, rr = _gram_form(theta.beta, theta.rho, data)
@@ -85,8 +91,12 @@ def _observed_info_std(theta: Theta, data: FslmData):
     hess[:-1, -1] = hess[-1, :-1] = -gv[1:] / s2**2
     hess[-1, -1] = n / (2 * s2**2) - rr / s2**3
     try:
-        cov = np.linalg.inv(-hess)
-        std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        np.linalg.cholesky(-hess)  # raises unless -hess is positive definite
+        var = np.diag(np.linalg.inv(-hess))
     except np.linalg.LinAlgError:
-        std = np.full(k + 2, np.nan)
-    return std[1:-1], float(std[-1]), float(std[0])
+        var = None
+    # a variance that rounding left not positive and finite (NaN fails both)
+    if var is None or not np.all((var > 0) & (var < np.inf)):
+        return None, None, None, NOT_POSITIVE_DEFINITE
+    std = np.sqrt(var)
+    return std[1:-1], float(std[-1]), float(std[0]), None

@@ -44,6 +44,7 @@ __all__ = [
     "Theta",
     "Estimate",
     "log_likelihood",
+    "sigma2_shape",
     "sigma2_conditional_params",
     "BetaFactor",
     "beta_factor",
@@ -162,18 +163,21 @@ class Theta:
 class Estimate:
     """A fit's point estimate theta (ML maximizer or posterior mean), the
     standard errors (ML) or posterior sds of beta, sigma2 and rho, its BIC,
-    and, for a chain, the acceptance rate after burn-in."""
+    and, for a chain, the acceptance rate after burn-in.  ML standard
+    errors that the data do not give are None, and std_unavailable says
+    why."""
     theta: Theta
-    std_beta: np.ndarray
-    std_sigma2: float
-    std_rho: float
+    std_beta: np.ndarray | None
+    std_sigma2: float | None
+    std_rho: float | None
     bic: float
     acceptance_rate: float | None = None
+    std_unavailable: str | None = None
 
     def to_json_dict(self) -> dict:
         entry = {
             "beta_mean": self.theta.beta.tolist(),
-            "beta_std": self.std_beta.tolist(),
+            "beta_std": None if self.std_beta is None else self.std_beta.tolist(),
             "sigma2_mean": self.theta.sigma2,
             "sigma2_std": self.std_sigma2,
             "rho_mean": self.theta.rho,
@@ -182,6 +186,8 @@ class Estimate:
         }
         if self.acceptance_rate is not None:
             entry["acceptance_rate"] = self.acceptance_rate
+        if self.std_unavailable is not None:
+            entry["std_unavailable"] = self.std_unavailable
         return entry
 
 
@@ -254,10 +260,16 @@ def rss_at(quadratic: tuple[float, float, float], rho: float) -> float:
     return max(a - rho * (2.0 * b - c * rho), 0.0)
 
 
+def sigma2_shape(data: FslmData, prior: PriorSpec) -> float:
+    """Inverse-gamma shape n/2 + a of sigma2's conditional, which no draw
+    of beta or rho changes."""
+    return data.n / 2 + prior.a
+
+
 def sigma2_conditional_params(rss: float, data: FslmData, prior: PriorSpec) -> tuple[float, float]:
     """Inverse-gamma (shape, scale) of sigma2 given beta and rho, whose
     residual sum of squares is rss."""
-    return data.n / 2 + prior.a, (rss + 2 * prior.b) / 2
+    return sigma2_shape(data, prior), (rss + 2 * prior.b) / 2
 
 
 def rho_log_conditional(rho: float, quadratic: tuple[float, float, float], sigma2: float,

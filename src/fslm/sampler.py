@@ -25,9 +25,9 @@ A chain draws all of its random numbers from its one generator before
 its loop, in this order: an n_iter x k block of standard normals xi
 (row j becomes beta's coordinates s = mean + sd * xi in place, so the
 block is the chain's draws of s), n_iter gamma variates for sigma2 (the
-shape n/2 + a of its conditional is fixed over the chain), n_iter steps
-psi of rho's kernel (rho_steps) and the logs of n_iter uniforms for the
-Metropolis test.  An iteration indexes them and makes no generator call.
+shape n/2 + a of its conditional, model.sigma2_shape, is fixed over the
+chain), n_iter steps psi of rho's kernel (rho_steps) and the logs of
+n_iter uniforms for the Metropolis test.  An iteration indexes them and makes no generator call.
 With one BLAS thread an iteration costs about 12 us at n = 121 and 484
 (21 us with a generator call per draw and the step scale c as a NumPy
 scalar, whose arithmetic is slower than a Python float's).
@@ -53,6 +53,7 @@ from .model import (
     rss_quadratic,
     sigma2_conditional_params,
     sigma2_hat,
+    sigma2_shape,
 )
 from .spatial import log_det_A
 
@@ -123,7 +124,7 @@ def run_mwg(data: FslmData, prior: PriorSpec, config: MhConfig) -> Chain:
     # every random number of the chain, in the module docstring's order;
     # row j of xi becomes beta's coordinates s = mean + sd * xi, beta = U s
     draws_s = rng.standard_normal((n_iter, data.k))
-    gammas = rng.gamma(data.n / 2 + prior.a, size=n_iter).tolist()
+    gammas = rng.gamma(sigma2_shape(data, prior), size=n_iter).tolist()
     steps = rho_steps(config.kernel, n_iter, rng).tolist()
     log_uniforms = np.log(rng.random(n_iter)).tolist()
 

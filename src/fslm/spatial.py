@@ -9,10 +9,9 @@ When W is similar to a symmetric matrix and its links close no odd cycle
 singular values of a half-size block, at about half the cost of the
 full symmetric eigenproblem.
 
-Moran's I scores its permutations over W's linked pairs, at O(nnz) each,
-when W is sparse (n^2 > MORAN_PAIRS_RATIO * nnz, as on rook lattices of
-13x13 units or more), and by a dense product with W, at O(n^2) each,
-otherwise.
+Moran's I scores a permutation's z'Wz along W's well-filled diagonals and
+over its other linked pairs, at O(nnz), or, for a W with few zero
+entries, by a dense product with W, at O(n^2): whichever does less work.
 """
 
 from __future__ import annotations
@@ -41,11 +40,14 @@ EIG_RTOL = 1e-12
 # permuted rows and its product with W stay near 1 MB at any n.
 MORAN_BLOCK_VALUES = 1 << 16
 
-# n^2 / nnz(W) above which Moran's permutations are scored over W's linked
-# pairs, not by the dense product with W.  On one core the two cost the
-# same near 25-35 (rook lattices, symmetric k-nearest-neighbour graphs),
-# and pairs are 15% faster at 46 (13x13 rook) and 44% at 127 (22x22).
-MORAN_PAIRS_RATIO = 40
+# Work per Moran permutation, in values of a sliced diagonal's product
+# (about 1 ns each on one core): a gathered pair costs MORAN_GATHER_COST,
+# and a sliced diagonal MORAN_DIAGONAL_COST beside its n - d values (its
+# numpy calls' pass over the block's rows).  An entry of the dense product
+# with W costs 1 / MORAN_DENSE_RATIO, with one BLAS thread.
+MORAN_GATHER_COST = 2
+MORAN_DIAGONAL_COST = 32
+MORAN_DENSE_RATIO = 25
 
 
 def read_only(a) -> np.ndarray:
@@ -280,14 +282,11 @@ def morans_i(
     deviation from the null expectation -1/(n-1) is at least as
     large as the observed one.
 
-    Permutations run in blocks of MORAN_BLOCK_VALUES // n rows.  A
-    sparse W (n^2 > MORAN_PAIRS_RATIO * nnz) scores a block over its
-    linked pairs, z'Wz = sum over i < j of (w_ij + w_ji) z_i z_j (Cliff
-    & Ord 1981), at O(nnz) per permutation; a denser W scores it by one
-    (rows x n) @ (n x n) product, at O(n^2).  The block is drawn with
+    Permutations run in blocks of MORAN_BLOCK_VALUES // n rows, scored
+    by _quadratic_form_scorer.  A block is drawn with
     rng.permuted(..., axis=1), the same stream as P successive
     rng.permutation(z) calls, so a seed gives the p-value of drawing and
-    testing each permutation alone.
+    testing each permutation alone, whichever scorer runs.
     """
     values = np.asarray(values, dtype=float)
     n = w.n
@@ -299,12 +298,16 @@ def morans_i(
         raise ValueError("need at least 3 units")
     if n_permutations < 0:
         raise ValueError("n_permutations must be nonnegative")
-    z = values - values.mean()
-    denom = z @ z
-    # z'z below the smallest normal float has too few significant bits
-    if denom < np.finfo(float).tiny:
-        raise ValueError("values are constant; Moran's I undefined" if np.ptp(values) == 0
-                         else "the values' spread is too small to compute Moran's I")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        z = values - values.mean()
+        denom = z @ z
+    # z'z below the smallest normal float has too few significant bits, and
+    # z'z not below inf (or NaN) has overflowed, in the mean or in z'z
+    if not np.finfo(float).tiny <= denom < np.inf:
+        if values.min() == values.max():
+            raise ValueError("values are constant; Moran's I undefined")
+        raise ValueError(f"the values' spread is too {'small' if denom < 1 else 'large'} "
+                         "to compute Moran's I")
     s0 = w.entries.sum()
     if s0 == 0:
         raise ValueError("weight matrix has no links; Moran's I undefined")
@@ -312,23 +315,12 @@ def morans_i(
     expected = -1.0 / (n - 1)
     rng = np.random.default_rng(seed)
     block = max(1, MORAN_BLOCK_VALUES // n)
-    i, j, w_ij = w.links
-    pairs = n * n > MORAN_PAIRS_RATIO * i.size
-    if pairs:
-        # each linked pair once: as i < j, or as i > j when w_ji = 0
-        once = (i < j) | (w.entries[j, i] == 0)
-        i, j = i[once], j[once]
-        weight = w_ij[once] + w.entries[j, i]
+    score = _quadratic_form_scorer(w)
     hits = 0
     for start in range(0, n_permutations, block):
         rows = min(block, n_permutations - start)
         zp = rng.permuted(np.broadcast_to(z, (rows, n)), axis=1)
-        if pairs:
-            products = zp[:, i]
-            products *= zp[:, j]
-            quad = products @ weight
-        else:
-            quad = np.einsum("ij,ij->i", zp @ w.entries, zp)
+        quad = score(zp)
         # a permutation leaves z'z unchanged
         stats = (n / s0) * quad / denom
         hits += np.count_nonzero(
@@ -340,3 +332,59 @@ def morans_i(
         p_value=float(p),
         n_permutations=n_permutations,
     )
+
+
+def _quadratic_form_scorer(w: SpatialWeights):
+    """A function of a block of rows z giving z'Wz per row, by the scorer
+    of least work (the MORAN_* costs; every rook lattice from 9x9 up takes
+    its two diagonals alone).
+
+    The sparse scorer takes each linked pair once, as (lo, hi) with weight
+    w_ij + w_ji, since z'Wz = sum over pairs of (w_ij + w_ji) z_lo z_hi
+    (Cliff & Ord 1981).  The pairs at offset d = hi - lo lie on W's d-th
+    diagonal.  A well-filled diagonal scores as (z[:, :-d] * z[:, d:]) @ v,
+    v the (n - d)-vector of its pair weights at lo, with no gather; the
+    other pairs are gathered.  A W with few zero entries is scored by the
+    dense product z @ W, at O(n^2)."""
+    n = w.n
+    i, j, w_ij = w.links
+    entries = w.entries
+
+    def dense(z):
+        return np.einsum("ij,ij->i", z @ entries, z)
+
+    # W has nnz/2 pairs or more, each costing the sparse scorer 1 or more:
+    # the dense product wins the test below, so skip its O(nnz) set-up
+    if n * n <= MORAN_DENSE_RATIO * i.size / 2:
+        return dense
+    # each linked pair once: as i < j, or as i > j when w_ji = 0
+    once = (i < j) | (entries[j, i] == 0)
+    i, j = i[once], j[once]
+    weight = w_ij[once] + entries[j, i]
+    lo, offset = np.minimum(i, j), np.abs(j - i)
+    count = np.bincount(offset, minlength=n)
+    d = np.flatnonzero(count)
+    # a diagonal is sliced when that costs less than gathering its pairs
+    d = d[MORAN_GATHER_COST * count[d] >= n - d + MORAN_DIAGONAL_COST]
+    sliced = np.zeros(n, dtype=bool)
+    sliced[d] = True
+    gathered = ~sliced[offset]
+    work = ((n - d + MORAN_DIAGONAL_COST).sum()
+            + MORAN_GATHER_COST * np.count_nonzero(gathered))
+    if n * n <= MORAN_DENSE_RATIO * work:
+        return dense
+    # row k holds the weights of diagonal d[k] at lo
+    v = np.zeros((d.size, n))
+    v[np.searchsorted(d, offset[~gathered]), lo[~gathered]] = weight[~gathered]
+    diagonals = [(dk, v[k, :n - dk]) for k, dk in enumerate(d.tolist())]
+    i, j, weight = i[gathered], j[gathered], weight[gathered]
+
+    def score(z):
+        products = z[:, i]
+        products *= z[:, j]
+        quad = products @ weight
+        for dk, vk in diagonals:
+            quad += (z[:, :-dk] * z[:, dk:]) @ vk
+        return quad
+
+    return score

@@ -253,6 +253,17 @@ def test_moran_cli_constant_error(tmp_path):
     ) == 2
 
 
+def test_moran_cli_refuses_a_spread_whose_square_overflows(tmp_path, capsys):
+    fio.write_response_csv(tmp_path / "resp.csv", np.array([1e200, -1e200, 0, 1, 2, 3, 4, 5, 6]))
+    fio.write_weights_csv(tmp_path / "w.csv", grid_contiguity(3, 3))
+    assert run(
+        ["moran", "--response", tmp_path / "resp.csv", "--weights", tmp_path / "w.csv"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "spread is too large" in captured.err
+
+
 def test_moran_cli_lattice_gradient(tmp_path, capsys):
     from fslm import grid_contiguity
 

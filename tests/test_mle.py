@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -13,7 +15,8 @@ from fslm import (
     row_standardize,
     weights_from_edges,
 )
-from fslm.mle import concentrated_loglik
+from fslm.io import write_json
+from fslm.mle import NOT_POSITIVE_DEFINITE, concentrated_loglik
 from fslm.model import sigma2_hat
 from test_spatial import nearest_neighbour_weights
 
@@ -142,6 +145,27 @@ def test_std_errors_finite_and_positive():
     est = fit_ml(FslmData(y=y, z=z, w=w))
     assert np.all(np.isfinite(est.std_beta)) and np.all(est.std_beta > 0)
     assert est.std_sigma2 > 0 and est.std_rho > 0
+
+
+def test_indefinite_information_gives_no_std_errors(tmp_path):
+    # rho near 1 with almost noiseless data: the observed information at
+    # the estimate is indefinite, whose inverse has a negative variance
+    # that was once clipped to a std error of 0.0
+    ds = make_dataset(SimulationSpec(rho_true=0.99, sigma2_true=1e-8, noise_sd=1e-8, seed=0),
+                      row_standardize(grid_contiguity(11, 11)))
+    est = fit_ml(ds.data)
+    assert (est.std_beta, est.std_sigma2, est.std_rho) == (None, None, None)
+    assert est.std_unavailable == NOT_POSITIVE_DEFINITE
+    entry = est.to_json_dict()
+    assert (entry["beta_std"], entry["sigma2_std"], entry["rho_std"]) == (None, None, None)
+    assert entry["std_unavailable"] == NOT_POSITIVE_DEFINITE
+    write_json(tmp_path / "report.json", {"ml": entry})
+    assert json.loads((tmp_path / "report.json").read_text())["ml"] == entry
+
+
+def test_json_refuses_nan(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "report.json", {"std": float("nan")})
 
 
 def test_search_stays_inside_stability_interval_of_binary_weights():

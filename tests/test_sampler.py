@@ -381,6 +381,20 @@ def test_each_iteration_calls_each_conditional_once(small_problem, monkeypatch):
     assert calls == dict.fromkeys(names, cfg.n_iter)
 
 
+def test_sigma2_shape_has_one_home(small_problem, monkeypatch):
+    # the chain's gamma variates and sigma2's conditional read one shape
+    import fslm.sampler
+
+    data, prior = small_problem
+    calls = []
+    real = fslm.sampler.sigma2_shape
+    monkeypatch.setattr(fslm.sampler, "sigma2_shape",
+                        lambda *args: calls.append(args) or real(*args))
+    run_mwg(data, prior, MhConfig(n_iter=50, burn_in=10, seed=2))
+    assert calls == [(data, prior)]
+    assert sigma2_conditional_params(1.0, data, prior)[0] == real(data, prior)
+
+
 def test_log_det_computed_once_per_chain_and_proposal(small_problem, monkeypatch):
     import fslm.model
     import fslm.sampler

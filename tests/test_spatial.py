@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 from unittest import mock
 
@@ -189,6 +190,25 @@ def test_moran_tiny_spread_is_not_called_constant():
     w = weights_from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="spread is too small"):
         morans_i(np.array([0.0, 0.0, 1.78e-294]), w, 9, 0)
+
+
+@pytest.mark.parametrize("values", [
+    [1e200, -1e200, 0, 1, 2, 3, 4, 5, 6],  # z'z overflows
+    [1.7e308, 1.7e308, -1.7e308, 0, 1, 2, 3, 4, 5],  # the mean overflows
+    [1.7e308] * 4 + [-1.7e308] * 5,  # the mean is NaN
+])
+def test_moran_refuses_a_spread_whose_square_overflows(values):
+    w = grid_contiguity(3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="spread is too large"):
+            morans_i(np.array(values), w, 99, 0)
+
+
+def test_moran_calls_huge_equal_values_constant():
+    w = grid_contiguity(3, 3)
+    with pytest.raises(ValueError, match="constant"):
+        morans_i(np.full(9, 1.7e308), w, 99, 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -530,12 +550,20 @@ def moran_one_permutation_at_a_time(values, w, n_permutations, seed):
                        n_permutations=n_permutations)
 
 
+# morans_i's costs: its own (W's choice of scorer), and those that force
+# each scorer whatever W's shape: the dense product with W, every linked
+# pair over its sliced diagonal, and every linked pair gathered
+SCORERS = [{},
+           {"MORAN_DENSE_RATIO": np.inf},
+           {"MORAN_DENSE_RATIO": 0, "MORAN_GATHER_COST": 1e9},
+           {"MORAN_DENSE_RATIO": 0, "MORAN_GATHER_COST": 0}]
+
+
 def morans_i_by_each_scorer(values, w, n_permutations, seed):
-    """morans_i's results with permutations scored by the dense product
-    with W and over W's linked pairs, whatever W's density."""
+    """morans_i's results under each of SCORERS' costs."""
     results = []
-    for ratio in (np.inf, 0):
-        with mock.patch.object(spatial, "MORAN_PAIRS_RATIO", ratio):
+    for costs in SCORERS:
+        with mock.patch.multiple(spatial, **costs) if costs else contextlib.nullcontext():
             results.append(morans_i(values, w, n_permutations, seed))
     return results
 
@@ -548,7 +576,8 @@ def test_permuted_rows_are_successive_permutations():
 
 
 @pytest.mark.parametrize(
-    "case", ["path3", "cycle4-ties", "knn45", "lattice22-ties", "one-way-ties"])
+    "case", ["path3", "cycle4-ties", "knn45", "lattice22-ties", "one-way-ties",
+             "lattice11-long-link-ties", "ring120-chords-ties"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_moran_blocks_match_one_permutation_at_a_time(case, seed):
     rng = np.random.default_rng(100 + seed)
@@ -564,6 +593,16 @@ def test_moran_blocks_match_one_permutation_at_a_time(case, seed):
     elif case == "lattice22-ties":
         w = row_standardize(grid_contiguity(22, 22))
         values = rng.integers(0, 2, w.n).astype(float)
+    elif case == "lattice11-long-link-ties":
+        # the lattice's two diagonals beside one link far off them
+        grid = grid_contiguity(11, 11).entries.copy()
+        grid[0, 120] = grid[120, 0] = 1.0
+        w = row_standardize(SpatialWeights(n=121, entries=grid))
+        values = rng.integers(0, 2, w.n).astype(float)
+    elif case == "ring120-chords-ties":
+        # diagonals 1 and 7 beside the links that wrap around the ring
+        w = weights_from_edges(120, [(i, (i + step) % 120) for i in range(120) for step in (1, 7)])
+        values = rng.integers(0, 3, w.n).astype(float)
     else:
         # a directed 12-cycle (w_ij > 0 = w_ji) with two links both ways,
         # one of them of unequal weights
@@ -575,7 +614,7 @@ def test_moran_blocks_match_one_permutation_at_a_time(case, seed):
         values = rng.integers(0, 3, w.n).astype(float)
     for n_permutations in (0, 1, 99, 999):
         reference = moran_one_permutation_at_a_time(values, w, n_permutations, seed)
-        assert morans_i_by_each_scorer(values, w, n_permutations, seed) == [reference] * 2
+        assert morans_i_by_each_scorer(values, w, n_permutations, seed) == [reference] * len(SCORERS)
 
 
 @pytest.mark.parametrize("n_permutations", [0, 1, 134, 135, 136])
@@ -584,7 +623,7 @@ def test_moran_blocks_match_at_the_block_edge(n_permutations):
     assert MORAN_BLOCK_VALUES // w.n == 135
     values = np.random.default_rng(7).standard_normal(w.n)
     reference = moran_one_permutation_at_a_time(values, w, n_permutations, 3)
-    assert morans_i_by_each_scorer(values, w, n_permutations, 3) == [reference] * 2
+    assert morans_i_by_each_scorer(values, w, n_permutations, 3) == [reference] * len(SCORERS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -602,4 +641,4 @@ def test_moran_blocks_match_on_any_graph(w, data, n_permutations, seed, block_va
     # small blocks put block edges inside the drawn permutation counts
     with mock.patch.object(spatial, "MORAN_BLOCK_VALUES", block_values):
         batched = morans_i_by_each_scorer(values, w, n_permutations, seed)
-    assert batched == [moran_one_permutation_at_a_time(values, w, n_permutations, seed)] * 2
+    assert batched == [moran_one_permutation_at_a_time(values, w, n_permutations, seed)] * len(SCORERS)
