@@ -140,7 +140,8 @@ def read_weights_csv(path, n: int) -> SpatialWeights:
         raise ValueError(f"{path}: an (i, j) pair is given more than once")
     entries = np.zeros((n, n))
     entries[ij[:, 0], ij[:, 1]] = rows[:, 2]
-    sums = entries.sum(axis=1)
+    with np.errstate(over="ignore"):  # a row whose sum overflows is not standardized
+        sums = entries.sum(axis=1)
     standardized = bool(
         np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0))
     )

@@ -103,7 +103,11 @@ class FslmData:
     def ols_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """OLS coefficients B (k x 2) and residuals E (n x 2) of [y, Wy] on Z."""
         g = self.gram
-        b = np.linalg.solve(g[2:, 2:], g[2:, :2])
+        try:
+            b = np.linalg.solve(g[2:, 2:], g[2:, :2])
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                "design matrix Z is rank deficient: Z'Z is singular to rounding") from None
         return read_only(b), read_only(self._x[:, :2] - self.z @ b)
 
     @cached_property

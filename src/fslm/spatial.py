@@ -308,10 +308,14 @@ def morans_i(
             raise ValueError("values are constant; Moran's I undefined")
         raise ValueError(f"the values' spread is too {'small' if denom < 1 else 'large'} "
                          "to compute Moran's I")
-    s0 = w.entries.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        s0 = w.entries.sum()
+        zwz = z @ w.entries @ z
     if s0 == 0:
         raise ValueError("weight matrix has no links; Moran's I undefined")
-    observed = (n / s0) * (z @ w.entries @ z) / denom
+    if not (np.isfinite(s0) and np.isfinite(zwz)):
+        raise ValueError("W's total weight or z'Wz overflows, so Moran's I cannot be computed")
+    observed = (n / s0) * zwz / denom
     expected = -1.0 / (n - 1)
     rng = np.random.default_rng(seed)
     block = max(1, MORAN_BLOCK_VALUES // n)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,31 @@ def test_moran_cli_refuses_a_spread_whose_square_overflows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "spread is too large" in captured.err
+
+
+def test_moran_cli_refuses_weights_whose_sum_overflows(tmp_path, capsys):
+    path4 = "".join(f"{i},{j},1e308\n" for i, j in [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(write_moran_inputs(tmp_path, "0,1\n1,2\n2,0\n3,5\n", path4)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "W's total weight or z'Wz overflows" in captured.err
+
+
+def test_fit_on_z_whose_gram_matrix_is_singular_to_rounding_exits_3(tmp_path, capsys):
+    # Z passes ML's singular-value ratio test, but Z'Z is singular to rounding
+    bundle = tmp_path / "near-flat"
+    assert run(["simulate", "--rho", "0.99", "--sigma2", "1e-8", "--noise-sd", "1e-8",
+                "--seed", "3", "--out", bundle]) == 0
+    capsys.readouterr()
+    for method in ("ml", "normal-kernel"):
+        out = tmp_path / method
+        assert run(["fit", "--data", bundle, "--method", method, "--out", out]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: design matrix Z is rank deficient: "
+            "Z'Z is singular to rounding\n")
+        assert not out.exists()
 
 
 def test_moran_cli_lattice_gradient(tmp_path, capsys):

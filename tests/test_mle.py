@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from fslm import (
     FslmData,
@@ -18,6 +18,7 @@ from fslm import (
 from fslm.io import write_json
 from fslm.mle import NOT_POSITIVE_DEFINITE, concentrated_loglik
 from fslm.model import sigma2_hat
+from fslm.sampler import default_init
 from test_spatial import nearest_neighbour_weights
 
 
@@ -225,3 +226,57 @@ def test_rho_hat_of_a_flat_likelihood_is_inside_the_interval():
                     w=weights_from_edges(n, []))
     rho = fit_ml(data).theta.rho
     assert np.isfinite(rho) and 0.0 <= rho <= 0.999
+
+
+def test_z_whose_gram_matrix_is_singular_to_rounding_is_rank_deficient():
+    # Z's smallest singular value passes fit_ml's 1e-10 ratio test, but Z'Z,
+    # whose condition is its square, is singular to rounding; ML and the
+    # chain's start both reach it through ols_pair
+    ds = make_dataset(SimulationSpec(0.99, 1e-8, 1e-8, seed=3),
+                      row_standardize(grid_contiguity(11, 11)))
+    for fit in (fit_ml, default_init):
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient: Z'Z is singular"):
+            fit(ds.data)
+
+
+def test_rho_hat_is_zero_when_the_slope_at_zero_is_negative():
+    w = row_standardize(grid_contiguity(11, 11))
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((w.n, 3))
+    y = np.linalg.solve(np.eye(w.n) + 0.5 * w.entries,
+                        z @ np.array([1.0, -1.0, 0.5]) + rng.standard_normal(w.n))
+    assert fit_ml(FslmData(y=y, z=z, w=w)).theta.rho == 0.0
+
+
+def test_rho_hat_is_the_cap_when_the_slope_at_the_cap_is_positive():
+    w = row_standardize(grid_contiguity(11, 11))
+    ds = make_dataset(SimulationSpec(rho_true=0.99999, sigma2_true=1e-4, noise_sd=1e-2,
+                                     seed=1), w)
+    assert fit_ml(ds.data).theta.rho == 0.999
+
+
+def dense_slope(rho, data):
+    """l_c'(rho) = n r'Wy / r'r - tr(W (I - rho W)^-1), with neither W's
+    eigenvalues nor ols_pair: r is the least-squares residual of
+    (I - rho W) y on Z, at whose beta d(r'r)/drho = -2 r'Wy, and the
+    trace comes from a dense solve."""
+    w = data.w.entries
+    wy = w @ data.y
+    ay = data.y - rho * wy
+    r = ay - data.z @ np.linalg.lstsq(data.z, ay, rcond=None)[0]
+    trace = np.trace(np.linalg.solve(np.eye(data.n) - rho * w, w))
+    return data.n * (r @ wy) / (r @ r) - trace
+
+
+@pytest.mark.parametrize("w, rho_true", [
+    (row_standardize(grid_contiguity(11, 11)), 0.5),
+    (nearest_neighbour_weights(45), 0.5),
+    (grid_contiguity(11, 11), 0.15),
+], ids=["rook", "nearest-neighbour", "binary"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rho_hat_is_the_root_of_a_dense_slope(w, rho_true, seed):
+    data = make_dataset(SimulationSpec(rho_true=rho_true, seed=seed), w).data
+    rho_hat = fit_ml(data).theta.rho
+    root = brentq(dense_slope, rho_hat - 1e-3, rho_hat + 1e-3, args=(data,),
+                  xtol=1e-15, rtol=1e-15)
+    assert abs(rho_hat - root) <= 1e-11

@@ -205,6 +205,18 @@ def test_moran_refuses_a_spread_whose_square_overflows(values):
             morans_i(np.array(values), w, 99, 0)
 
 
+@pytest.mark.parametrize("weight, values", [
+    (1e308, [1.0, 2.0, 0.0, 5.0]),  # W's total weight overflows
+    (1e300, [1e5, -1e5, 1e5, -1e5]),  # z'Wz overflows
+])
+def test_moran_refuses_weights_whose_sum_or_quadratic_form_overflows(weight, values):
+    w = SpatialWeights(n=4, entries=weight * weights_from_edges(4, [(0, 1), (1, 2), (2, 3)]).entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            morans_i(np.array(values), w, 99, 0)
+
+
 def test_moran_calls_huge_equal_values_constant():
     w = grid_contiguity(3, 3)
     with pytest.raises(ValueError, match="constant"):
