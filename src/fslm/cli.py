@@ -191,7 +191,7 @@ def _load_bundle(data_dir: Path, basis_count: int) -> FslmData:
                          f"but response.csv has {y.size}")
     _check_unit_count(y.size, basis_count)
     w = fio.read_weights_csv(data_dir / "weights.csv", n=y.size)
-    if not w.entries.any():
+    if not w.links[0].size:
         raise ValueError(f"{data_dir / 'weights.csv'} holds no links, "
                          "so rho is not identified")
     basis = build_bspline_basis(t_grid[0], t_grid[-1], basis_count, SPLINE_ORDER)

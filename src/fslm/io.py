@@ -131,22 +131,19 @@ def write_weights_csv(path, w: SpatialWeights) -> None:
 
 
 def read_weights_csv(path, n: int) -> SpatialWeights:
-    """The n x n W of triplets `i,j,w`; units without a link keep zero rows."""
+    """The n-unit W of triplets `i,j,w` in any order; units without a link
+    keep zero rows, and triplets of weight 0 are dropped."""
     rows = _read_table(path, ["i", "j", "w"])[1]
     ij = rows[:, :2].astype(int)
     if np.any(ij != rows[:, :2]) or np.any((ij < 0) | (ij >= n)):
         raise ValueError(f"{path}: indices i, j must be integers in [0, {n})")
-    if len(np.unique(ij, axis=0)) < len(ij):
-        raise ValueError(f"{path}: an (i, j) pair is given more than once")
-    entries = np.zeros((n, n))
-    entries[ij[:, 0], ij[:, 1]] = rows[:, 2]
-    with np.errstate(over="ignore"):  # a row whose sum overflows is not standardized
-        sums = entries.sum(axis=1)
+    i, j = ij.T
+    sums = np.bincount(i, rows[:, 2], minlength=n)
     standardized = bool(
         np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0))
     )
     try:
-        return SpatialWeights(n=n, entries=entries, row_standardized=standardized)
+        return SpatialWeights.from_links(n, i, j, rows[:, 2], row_standardized=standardized)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

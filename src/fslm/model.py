@@ -92,7 +92,9 @@ class FslmData:
     @cached_property
     def _x(self) -> np.ndarray:
         """X = [y, Wy, Z], n x (k + 2)."""
-        return read_only(np.column_stack([self.y, self.w.entries @ self.y, self.z]))
+        i, j, w_ij = self.w.links
+        wy = np.bincount(i, w_ij * self.y[j], minlength=self.n)
+        return read_only(np.column_stack([self.y, wy, self.z]))
 
     @cached_property
     def gram(self) -> np.ndarray:

@@ -79,7 +79,10 @@ def simulate_response(z: np.ndarray, w: SpatialWeights, theta: Theta, seed: int)
     [0, W.rho_max)."""
     check_rho(theta.rho, w)
     eps = np.sqrt(theta.sigma2) * np.random.default_rng(seed).standard_normal(w.n)
-    return np.linalg.solve(np.eye(w.n) - theta.rho * w.entries, z @ theta.beta + eps)
+    i, j, w_ij = w.links
+    a = np.eye(w.n)
+    a[i, j] -= theta.rho * w_ij
+    return np.linalg.solve(a, z @ theta.beta + eps)
 
 
 def make_dataset(spec: SimulationSpec, w: SpatialWeights) -> SimulatedDataset:

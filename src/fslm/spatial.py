@@ -1,5 +1,12 @@
 """Spatial weight matrices, the log-determinant of I - rho*W, and Moran's I.
 
+A SpatialWeights holds W as its links, the row-major (i, j, w_ij) of its
+nonzero entries: W's builders, row standardization, W y, Moran's S0 and
+z'Wz, and the half-size block below work in O(nnz).  The dense n x n
+matrix is made only for the routines that need one: eigvalsh (odd
+cycles), eigvals (an asymmetric W) and the dense Moran scorer; the solve
+that simulates a response builds I - rho*W.
+
 The log-determinant uses Ord's (1975) identity
 ln|I - rho*W| = sum_i ln(1 - rho*lambda_i) over the eigenvalues of W,
 which each SpatialWeights computes once.  They also set rho's domain
@@ -57,35 +64,78 @@ def read_only(a) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpatialWeights:
-    """Finite, nonnegative n x n weight matrix with zero diagonal."""
+    """W, a finite, nonnegative n x n weight matrix with zero diagonal,
+    held as its links: the (i, j, w_ij) of its nonzero entries in
+    row-major order, read-only.
+
+    SpatialWeights(n=, entries=) takes W as a dense n x n array, read once
+    for its links; SpatialWeights.from_links takes the links themselves,
+    in O(nnz).  The dense matrix `entries` is made on first use, for the
+    routines that need one (eigvalsh, eigvals, the dense Moran scorer)."""
 
     n: int
-    entries: np.ndarray
+    links: tuple[np.ndarray, np.ndarray, np.ndarray]
     row_standardized: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", read_only(self.entries))
-        w = self.entries
-        if w.shape != (self.n, self.n):
+    def __init__(self, n: int, entries, row_standardized: bool = False):
+        entries = read_only(entries)
+        if entries.shape != (n, n):
             raise ValueError("entries must be n x n")
-        if not np.all(np.isfinite(w)):
+        i, j = np.nonzero(entries)
+        self._hold(n, i, j, entries[i, j], row_standardized)
+        self.__dict__["entries"] = entries  # the dense view, already made
+
+    @classmethod
+    def from_links(cls, n: int, i, j, w_ij, row_standardized: bool = False) -> SpatialWeights:
+        """W of the links (i, j, w_ij), given in any order; links of
+        weight zero are dropped.  A ValueError when an index lies outside
+        [0, n), a pair is given twice (at any weight), or a weight is not
+        finite, on the diagonal or negative."""
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        w_ij = np.asarray(w_ij, dtype=float)
+        if np.any((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)):
+            raise ValueError(f"indices i, j must be integers in [0, {n})")
+        # one sort into row-major order, where a repeated pair is a tie
+        key = i * n + j
+        order = np.argsort(key, kind="stable")
+        if np.any(key[order[1:]] == key[order[:-1]]):
+            raise ValueError("an (i, j) pair is given more than once")
+        order = order[w_ij[order] != 0]
+        w = cls.__new__(cls)
+        w._hold(n, i[order], j[order], w_ij[order], row_standardized)
+        return w
+
+    def _hold(self, n, i, j, w_ij, row_standardized):
+        if not np.all(np.isfinite(w_ij)):
             raise ValueError("weights must be finite")
-        if np.any(np.diag(w) != 0):
+        if np.any(i == j):
             raise ValueError("diagonal must be zero")
-        if np.any(w < 0):
+        if np.any(w_ij < 0):
             raise ValueError("weights must be nonnegative")
+        for a in (i, j, w_ij):
+            a.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "links", (i, j, w_ij))
+        object.__setattr__(self, "row_standardized", row_standardized)
 
     @cached_property
-    def links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, w_ij) of W's nonzero entries in row-major order, found
-        on first use; read-only."""
-        i, j = np.nonzero(self.entries)
-        links = i, j, self.entries[i, j]
-        for a in links:
-            a.flags.writeable = False
-        return links
+    def entries(self) -> np.ndarray:
+        """W as a dense n x n array, made on first use; read-only."""
+        i, j, w_ij = self.links
+        entries = np.zeros((self.n, self.n))
+        entries[i, j] = w_ij
+        return read_only(entries)
+
+    @cached_property
+    def reverse_weights(self) -> np.ndarray:
+        """w_ji for each link (i, j, w_ij), 0 where W has no link from j
+        to i: by binary search of the row-major links; read-only."""
+        i, j, w_ij = self.links
+        key, back = i * self.n + j, j * self.n + i
+        k = np.minimum(np.searchsorted(key, back), key.size - 1)
+        return read_only(np.where(key[k] == back, w_ij[k], 0.0))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -106,28 +156,33 @@ class SpatialWeights:
         rounding (~1e-8).  Odd cycles (queen contiguity, most k-nearest-
         neighbour graphs) keep eigvalsh on S.
         """
-        w = self.entries
+        n = self.n
         i, j, w_ij = self.links
-        degree = np.bincount(i, minlength=self.n)
+        degree = np.bincount(i, minlength=n)
         # D W is symmetric for D = I (symmetric W) or D = diag(row
         # degree) (row-standardized binary symmetric W); then
-        # D^1/2 W D^-1/2 is symmetric with W's eigenvalues.
-        for d in (np.ones(self.n), np.where(degree > 0, degree, 1.0)):
-            if np.allclose(d[i] * w_ij, d[j] * w[j, i], rtol=EIG_RTOL, atol=0.0):
+        # S = D^1/2 W D^-1/2 is symmetric with W's eigenvalues.
+        for d in (np.ones(n), np.where(degree > 0, degree, 1.0)):
+            if np.allclose(d[i] * w_ij, d[j] * self.reverse_weights, rtol=EIG_RTOL, atol=0.0):
                 root = np.sqrt(d)
-                side = _two_colouring(self.n, i, j)
+                s_ij = w_ij * root[i]
+                s_ij /= root[j]
+                side = _two_colouring(n, i, j)
                 if side is None:
-                    s = w * root[:, None]
-                    s /= root[None, :]
+                    s = np.zeros((n, n))
+                    s[i, j] = s_ij
                     return np.linalg.eigvalsh(s)
                 a, b = np.flatnonzero(~side), np.flatnonzero(side)
-                block = w[np.ix_(a, b)]
-                block *= root[a, None]
-                block /= root[None, b]
+                # each unit's place in its side; the links from a to b fill B
+                place = np.empty(n, dtype=np.intp)
+                place[a], place[b] = np.arange(a.size), np.arange(b.size)
+                out = ~side[i]
+                block = np.zeros((a.size, b.size))
+                block[place[i[out]], place[j[out]]] = s_ij[out]
                 sigma = np.linalg.svd(block, compute_uv=False)
                 return np.concatenate(
-                    [-sigma, np.zeros(self.n - 2 * sigma.size), sigma[::-1]])
-        lam = np.linalg.eigvals(w)
+                    [-sigma, np.zeros(n - 2 * sigma.size), sigma[::-1]])
+        lam = np.linalg.eigvals(self.entries)
         if np.all(np.abs(lam.imag) <= EIG_RTOL * max(1.0, np.abs(lam).max())):
             return lam.real
         return lam
@@ -208,9 +263,10 @@ def weights_from_edges(n: int, edges) -> SpatialWeights:
         i, j = pairs[bad[0]]
         raise ValueError(f"self-loop at unit {i}" if i == j
                          else f"edge ({i},{j}) out of range for n={n}")
-    w = np.zeros((n, n))
-    w[i, j] = w[j, i] = 1.0
-    return SpatialWeights(n=n, entries=w, row_standardized=False)
+    # each edge both ways, once however often and in whichever direction it is given
+    i, j = i.astype(np.intp), j.astype(np.intp)
+    key = np.unique(np.concatenate([i * n + j, j * n + i]))
+    return SpatialWeights.from_links(n, key // n, key % n, np.ones(key.size))
 
 
 def grid_contiguity(rows: int, cols: int) -> SpatialWeights:
@@ -225,13 +281,11 @@ def grid_contiguity(rows: int, cols: int) -> SpatialWeights:
 
 def row_standardize(w: SpatialWeights) -> SpatialWeights:
     """Divide each nonzero row by its sum; zero rows pass through."""
-    sums = w.entries.sum(axis=1)
+    i, j, w_ij = w.links
+    sums = np.bincount(i, w_ij, minlength=w.n)
     if np.any(sums == 0):
         warnings.warn("zero-neighbor rows left as all-zero under standardization")
-    safe = np.where(sums > 0, sums, 1.0)
-    return SpatialWeights(
-        n=w.n, entries=w.entries / safe[:, None], row_standardized=True
-    )
+    return SpatialWeights.from_links(w.n, i, j, w_ij / sums[i], row_standardized=True)
 
 
 def log_det_A(w: SpatialWeights, rho):
@@ -308,9 +362,10 @@ def morans_i(
             raise ValueError("values are constant; Moran's I undefined")
         raise ValueError(f"the values' spread is too {'small' if denom < 1 else 'large'} "
                          "to compute Moran's I")
+    i, j, w_ij = w.links
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        s0 = w.entries.sum()
-        zwz = z @ w.entries @ z
+        s0 = w_ij.sum()
+        zwz = (z[i] * z[j]) @ w_ij
     if s0 == 0:
         raise ValueError("weight matrix has no links; Moran's I undefined")
     if not (np.isfinite(s0) and np.isfinite(zwz)):
@@ -352,19 +407,19 @@ def _quadratic_form_scorer(w: SpatialWeights):
     dense product z @ W, at O(n^2)."""
     n = w.n
     i, j, w_ij = w.links
-    entries = w.entries
 
     def dense(z):
-        return np.einsum("ij,ij->i", z @ entries, z)
+        return np.einsum("ij,ij->i", z @ w.entries, z)
 
     # W has nnz/2 pairs or more, each costing the sparse scorer 1 or more:
     # the dense product wins the test below, so skip its O(nnz) set-up
     if n * n <= MORAN_DENSE_RATIO * i.size / 2:
         return dense
     # each linked pair once: as i < j, or as i > j when w_ji = 0
-    once = (i < j) | (entries[j, i] == 0)
+    w_ji = w.reverse_weights
+    once = (i < j) | (w_ji == 0)
     i, j = i[once], j[once]
-    weight = w_ij[once] + entries[j, i]
+    weight = w_ij[once] + w_ji[once]
     lo, offset = np.minimum(i, j), np.abs(j - i)
     count = np.bincount(offset, minlength=n)
     d = np.flatnonzero(count)
@@ -382,11 +437,15 @@ def _quadratic_form_scorer(w: SpatialWeights):
     v[np.searchsorted(d, offset[~gathered]), lo[~gathered]] = weight[~gathered]
     diagonals = [(dk, v[k, :n - dk]) for k, dk in enumerate(d.tolist())]
     i, j, weight = i[gathered], j[gathered], weight[gathered]
+    # gathered n pairs at a time, so that no product is wider than the block
+    chunks = [(i[s:s + n], j[s:s + n], weight[s:s + n]) for s in range(0, i.size, n)]
 
     def score(z):
-        products = z[:, i]
-        products *= z[:, j]
-        quad = products @ weight
+        quad = np.zeros(len(z))
+        for ic, jc, weight_c in chunks:
+            products = z[:, ic]
+            products *= z[:, jc]
+            quad += products @ weight_c
         for dk, vk in diagonals:
             quad += (z[:, :-dk] * z[:, dk:]) @ vk
         return quad

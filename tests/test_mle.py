@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fslm import (
     row_standardize,
     weights_from_edges,
 )
-from fslm.io import write_json
+from fslm.io import read_weights_csv, write_json, write_weights_csv
 from fslm.mle import NOT_POSITIVE_DEFINITE, concentrated_loglik
 from fslm.model import sigma2_hat
 from fslm.sampler import default_init
@@ -280,3 +281,22 @@ def test_rho_hat_is_the_root_of_a_dense_slope(w, rho_true, seed):
     root = brentq(dense_slope, rho_hat - 1e-3, rho_hat + 1e-3, args=(data,),
                   xtol=1e-15, rtol=1e-15)
     assert abs(rho_hat - root) <= 1e-11
+
+
+def test_fit_ml_on_a_read_lattice_builds_no_n_by_n_array(tmp_path):
+    # W is held as its links: reading it and fitting on it, spectrum and
+    # W y included, never makes an n x n array (rook lattices take the
+    # half-size block's SVD)
+    lattice = row_standardize(grid_contiguity(22, 22))
+    ds = make_dataset(SimulationSpec(seed=2), lattice)
+    write_weights_csv(tmp_path / "weights.csv", lattice)
+    n_by_n = 8 * lattice.n**2
+    tracemalloc.start()
+    try:
+        w = read_weights_csv(tmp_path / "weights.csv", lattice.n)
+        fit_ml(FslmData(y=ds.data.y, z=ds.data.z, w=w))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_by_n
+    assert "entries" not in vars(w)

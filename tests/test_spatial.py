@@ -1,5 +1,8 @@
 import contextlib
+import re
+import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +17,7 @@ from fslm import (
     row_standardize,
     weights_from_edges,
 )
+from fslm import io as fio
 from fslm import spatial
 from fslm.spatial import EIG_RTOL, MORAN_BLOCK_VALUES, MoranResult, SpatialWeights
 
@@ -154,7 +158,9 @@ def test_log_det_eigen_oracle():
         base = (rng.random((n, n)) < 0.3).astype(float)
         base = np.triu(base, 1)
         base = base + base.T
-        w = row_standardize(SpatialWeights(n=int(n), entries=base))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero-neighbour rows
+            w = row_standardize(SpatialWeights(n=int(n), entries=base))
         eig = np.linalg.eigvals(w.entries)
         rho = 0.3
         ref = np.sum(np.log(np.abs(1 - rho * eig))).real
@@ -541,21 +547,24 @@ def test_log_det_of_an_array_names_the_rho_with_negative_det():
 
 
 def moran_one_permutation_at_a_time(values, w, n_permutations, seed):
-    """Reference: each permutation drawn by rng.permutation and tested alone."""
+    """Reference: each permutation drawn by rng.permutation and tested alone.
+    S0 and the observed z'Wz are summed over W's links, as morans_i sums
+    them; each permutation's z'Wz is the dense product."""
     n = w.n
     z = np.asarray(values, dtype=float) - np.mean(values)
-    s0 = w.entries.sum()
+    i, j, w_ij = w.links
+    s0 = w_ij.sum()
 
-    def stat(zv):
-        return (n / s0) * (zv @ w.entries @ zv) / (zv @ zv)
+    def stat(zv, zwz):
+        return (n / s0) * zwz / (zv @ zv)
 
-    observed = stat(z)
+    observed = stat(z, (z[i] * z[j]) @ w_ij)
     expected = -1.0 / (n - 1)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(n_permutations):
         perm = rng.permutation(z)
-        if abs(stat(perm) - expected) >= abs(observed - expected) - 1e-15:
+        if abs(stat(perm, perm @ w.entries @ perm) - expected) >= abs(observed - expected) - 1e-15:
             hits += 1
     return MoranResult(statistic=float(observed), expected=expected,
                        p_value=float((hits + 1) / (n_permutations + 1)),
@@ -654,3 +663,92 @@ def test_moran_blocks_match_on_any_graph(w, data, n_permutations, seed, block_va
     with mock.patch.object(spatial, "MORAN_BLOCK_VALUES", block_values):
         batched = morans_i_by_each_scorer(values, w, n_permutations, seed)
     assert batched == [moran_one_permutation_at_a_time(values, w, n_permutations, seed)] * len(SCORERS)
+
+
+@st.composite
+def weight_matrices(draw):
+    """A dense W of 1 to 12 units: binary or weighted, symmetric or one-way,
+    often with unlinked units, odd cycles or both."""
+    n = draw(st.integers(1, 12))
+    c = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), dtype=float)
+    if draw(st.booleans()):
+        c *= draw(st.lists(st.floats(0.01, 100.0), min_size=n * n, max_size=n * n))
+    c = c.reshape(n, n)
+    np.fill_diagonal(c, 0.0)
+    if draw(st.booleans()):
+        c = np.triu(c, 1)
+        c += c.T
+    return c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c=weight_matrices() | symmetric_graphs(bipartite=True).map(lambda w: np.array(w.entries)),
+       data=st.data())
+def test_w_from_its_links_is_the_w_of_its_dense_matrix(c, data):
+    n = len(c)
+    dense = SpatialWeights(n=n, entries=c)
+    # the triplets shuffled, beside explicit zero weights (on the diagonal too)
+    i, j = np.nonzero(c)
+    zi, zj = np.nonzero(c == 0)
+    zeros = data.draw(st.lists(st.integers(0, zi.size - 1), unique=True, max_size=5)
+                      if zi.size else st.just([]))
+    ti, tj = np.concatenate([i, zi[zeros]]), np.concatenate([j, zj[zeros]])
+    tw = np.concatenate([c[i, j], np.zeros(len(zeros))])
+    order = np.array(data.draw(st.permutations(range(ti.size))), dtype=int)
+    ti, tj, tw = ti[order], tj[order], tw[order]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weights.csv"
+        fio.write_table(path, ["i", "j", "w"], ti, tj, tw)
+        read = fio.read_weights_csv(path, n)
+    grid = np.linspace(0.0, dense.rho_max, 8, endpoint=False)
+    values = np.random.default_rng(n).standard_normal(n)
+    for w in (SpatialWeights.from_links(n, ti, tj, tw), read):
+        for a, b in zip(w.links, dense.links):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert w.entries.dtype == float and np.array_equal(w.entries, c)
+        assert np.array_equal(w.eigenvalues, dense.eigenvalues)
+        assert log_det_A(w, grid) == pytest.approx(log_det_A(dense, grid), rel=0, abs=1e-12)
+        if n >= 3 and c.any():
+            assert morans_i(values, w, 99, 1).p_value == morans_i(values, dense, 99, 1).p_value
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,1,1\n1,0,1\n0,1,1", r"an \(i, j\) pair is given more than once"),
+    ("0,1,1\n1,0,1\n0,1,0", r"an \(i, j\) pair is given more than once"),
+    ("0,1,1\n1,1,0.5", "diagonal must be zero"),
+    ("0,1,1\n1,0,-1", "weights must be nonnegative"),
+    ("0,1,1\n1,0,nan", "values must be finite"),
+    ("0,1,1\n1,3,1", r"indices i, j must be integers in \[0, 3\)"),
+    ("-1,0,1", r"indices i, j must be integers in \[0, 3\)"),
+    ("0,1.5,1", r"indices i, j must be integers in \[0, 3\)"),
+], ids=["repeated", "repeated-at-weight-0", "self-loop", "negative", "nan", "out-of-range",
+        "negative-index", "non-integer"])
+def test_weights_csv_refusals_keep_their_messages(tmp_path, rows, message):
+    path = tmp_path / "weights.csv"
+    path.write_text("i,j,w\n" + rows + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+        fio.read_weights_csv(path, n=3)
+
+
+@pytest.mark.parametrize("i, j, w_ij, message", [
+    ([0, 1, 0], [1, 0, 1], [1.0, 1.0, 0.0], r"an \(i, j\) pair is given more than once"),
+    ([0, 2], [1, 2], [1.0, 0.5], "diagonal must be zero"),
+    ([0, 1], [1, 0], [1.0, -1.0], "weights must be nonnegative"),
+    ([0, 1], [1, 0], [1.0, np.nan], "weights must be finite"),
+    ([0, 1], [1, 3], [1.0, 1.0], r"indices i, j must be integers in \[0, 3\)"),
+], ids=["repeated-at-weight-0", "self-loop", "negative", "nan", "out-of-range"])
+def test_from_links_refusals(i, j, w_ij, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SpatialWeights.from_links(3, i, j, w_ij)
+
+
+def test_a_self_loop_of_weight_zero_is_dropped():
+    w = SpatialWeights.from_links(3, [1, 2, 1], [1, 1, 2], [0.0, 1.0, 1.0])
+    assert [a.tolist() for a in w.links] == [[1, 2], [2, 1], [1.0, 1.0]]
+
+
+def test_repeated_and_reversed_edges_give_one_link_each_way():
+    want = weights_from_edges(4, [(0, 1), (1, 2), (3, 1)])
+    w = weights_from_edges(4, [(1, 0), (0, 1), (1, 2), (1, 3), (2, 1), (0, 1), (3, 1)])
+    assert [a.tolist() for a in w.links] == [a.tolist() for a in want.links]
+    assert np.array_equal(w.entries, [[0, 1, 0, 0], [1, 0, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]])
